@@ -40,13 +40,23 @@ impl Csr {
     /// # Panics
     /// Panics if the arrays violate the CSR invariants listed on [`Csr`].
     pub fn from_raw(offsets: Vec<usize>, targets: Vec<VertexId>, weights: Vec<Weight>) -> Self {
+        Csr::try_from_raw(offsets, targets, weights).expect("invalid CSR arrays")
+    }
+
+    /// Build from raw CSR arrays, or describe the first invariant (listed
+    /// on [`Csr`]) they violate.
+    pub fn try_from_raw(
+        offsets: Vec<usize>,
+        targets: Vec<VertexId>,
+        weights: Vec<Weight>,
+    ) -> Result<Self, String> {
         let g = Csr {
             offsets,
             targets,
             weights,
         };
-        g.validate().expect("invalid CSR arrays");
-        g
+        g.validate()?;
+        Ok(g)
     }
 
     /// An empty graph with `n` vertices and no edges.
@@ -222,6 +232,14 @@ impl Csr {
         for (u, w) in self.offsets.windows(2).enumerate() {
             if w[1] < w[0] {
                 return Err(format!("offsets decrease at vertex {u}"));
+            }
+            if w[1] > self.targets.len() {
+                return Err(format!(
+                    "offsets[{}] = {} exceeds targets.len() = {}",
+                    u + 1,
+                    w[1],
+                    self.targets.len()
+                ));
             }
             let slice = &self.targets[w[0]..w[1]];
             for pair in slice.windows(2) {

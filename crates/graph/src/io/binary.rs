@@ -17,6 +17,8 @@ use std::io::{Read, Write};
 
 const MAGIC: &[u8; 8] = b"NULPACSR";
 const VERSION: u32 = 1;
+/// The most array entries allocated ahead of the bytes that fill them.
+const PREALLOC: u64 = 1 << 20;
 
 /// Serialize a graph to the binary CSR format.
 pub fn write_binary<W: Write>(g: &Csr, mut out: W) -> std::io::Result<()> {
@@ -47,18 +49,21 @@ pub fn read_binary<R: Read>(mut input: R) -> Result<Csr, IoError> {
     if version != VERSION {
         return Err(parse_err(0, format!("unsupported version {version}")));
     }
-    let n = read_u64(&mut input)? as usize;
-    let m = read_u64(&mut input)? as usize;
+    let n = read_u64(&mut input)?;
+    let m = read_u64(&mut input)?;
 
-    let mut offsets = Vec::with_capacity(n + 1);
+    // The header's counts are untrusted: pre-allocate at most PREALLOC
+    // entries and let the arrays grow only as their bytes arrive.
+    let prealloc = |count: u64| count.min(PREALLOC) as usize;
+    let mut offsets = Vec::with_capacity(prealloc(n.saturating_add(1)));
     for _ in 0..=n {
         offsets.push(read_u64(&mut input)? as usize);
     }
-    let mut targets = Vec::with_capacity(m);
+    let mut targets = Vec::with_capacity(prealloc(m));
     for _ in 0..m {
         targets.push(read_u32(&mut input)?);
     }
-    let mut weights = Vec::with_capacity(m);
+    let mut weights = Vec::with_capacity(prealloc(m));
     for _ in 0..m {
         let bits = read_u32(&mut input)?;
         let w = f32::from_bits(bits);
@@ -68,11 +73,11 @@ pub fn read_binary<R: Read>(mut input: R) -> Result<Csr, IoError> {
         weights.push(w);
     }
     // validate structural invariants before constructing
-    if offsets.first() != Some(&0) || offsets.last() != Some(&m) {
+    if offsets.first() != Some(&0) || offsets.last() != Some(&(m as usize)) {
         return Err(parse_err(0, "corrupt offsets"));
     }
-    std::panic::catch_unwind(move || Csr::from_raw(offsets, targets, weights))
-        .map_err(|_| parse_err(0, "corrupt CSR arrays"))
+    Csr::try_from_raw(offsets, targets, weights)
+        .map_err(|e| parse_err(0, format!("corrupt CSR arrays: {e}")))
 }
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, IoError> {
@@ -133,6 +138,40 @@ mod tests {
         // corrupt the first offset (offset table starts at byte 8+4+8+8=28)
         buf[28] = 0xff;
         assert!(read_binary(Cursor::new(buf)).is_err());
+    }
+
+    fn header(n: u64, m: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&m.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn huge_declared_counts_are_an_error_not_an_abort() {
+        for (n, m) in [(1 << 58, 0), (0, 1 << 58), (u64::MAX, u64::MAX)] {
+            let buf = header(n, m);
+            assert_eq!(buf.len(), 28);
+            assert!(
+                read_binary(Cursor::new(buf)).is_err(),
+                "|V| = {n}, |E| = {m}"
+            );
+        }
+    }
+
+    #[test]
+    fn offsets_past_the_targets_are_an_error_not_a_panic() {
+        // offsets [0, 10, 1] pass the first/last check but would slice
+        // the one-entry targets array out of bounds
+        let mut buf = header(2, 1);
+        for o in [0u64, 10, 1] {
+            buf.extend_from_slice(&o.to_le_bytes());
+        }
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&1.0f32.to_bits().to_le_bytes());
+        let err = read_binary(Cursor::new(buf)).unwrap_err();
+        assert!(err.to_string().contains("exceeds targets.len()"), "{err}");
     }
 
     #[test]

@@ -18,6 +18,12 @@ cargo test -q --workspace
 step "workspace tests (all features)"
 cargo test -q --workspace --all-features
 
+# The benchmark is a workspace of its own. Its unit tests pin the input
+# contract (`read_edge_list` returns the generated graph), so a loader
+# change that breaks the benchmark fails here, not only in a bench run.
+step "perfbench tests"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 # Telemetry neutrality: with every optional observability layer compiled
 # out, the suite (including the byte-exact golden-trace tests) must still
 # pass — observers may never perturb the algorithms.

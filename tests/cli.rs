@@ -58,7 +58,28 @@ fn detect_finds_two_communities() {
     assert_eq!(labels[0], labels[2]);
     assert_eq!(labels[3], labels[4]);
     assert_ne!(labels[0], labels[3]);
-    assert!(String::from_utf8_lossy(&out.stderr).contains("2 communities"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("2 communities"), "{stderr}");
+    // the throughput figure counts the whole run, loading included
+    for phase in ["load ", "iterate ", "total ", "M edges/s end to end"] {
+        assert!(stderr.contains(phase), "{stderr}");
+    }
+}
+
+#[test]
+fn detect_help_and_flag_in_place_of_path() {
+    for help in ["--help", "-h"] {
+        let out = Command::new(BIN).args(["detect", help]).output().unwrap();
+        assert!(out.status.success(), "{help}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
+    }
+    let out = Command::new(BIN)
+        .args(["detect", "--frontier", "graph.txt"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`--frontier`"), "{stderr}");
 }
 
 #[test]
