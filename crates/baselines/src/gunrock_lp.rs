@@ -10,7 +10,6 @@
 
 use crate::common::argmax_label;
 use nulpa_graph::{Csr, VertexId};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Gunrock-LP configuration.
@@ -54,7 +53,6 @@ pub fn gunrock_lp(g: &Csr, config: &GunrockConfig) -> GunrockResult {
         iterations = iter + 1;
         let old = labels.clone(); // Jacobi: everyone reads the old state
         let new: Vec<VertexId> = (0..n as VertexId)
-            .into_par_iter()
             .map(|v| {
                 let mut weights: HashMap<VertexId, f64> = HashMap::new();
                 for (j, w) in g.neighbors(v) {

@@ -13,10 +13,11 @@
 //! Schedule: asynchronous in-place updates, vertex pruning, per-iteration
 //! tolerance 0.05, at most 20 iterations, strict pick (first maximum in
 //! keys-list order = first-encountered neighbour label).
+//!
+//! This port runs on one thread, so it keeps a single scratch table and
+//! sweeps the shuffled candidates in order.
 
 use nulpa_graph::{Csr, VertexId};
-use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 /// GVE-LPA configuration (paper defaults).
@@ -51,7 +52,7 @@ pub struct GveLpaResult {
     pub converged: bool,
 }
 
-/// Per-thread collision-free scratch: keys list + `|V|`-sized values.
+/// Collision-free scratch: keys list + `|V|`-sized values.
 struct Scratch {
     keys: Vec<VertexId>,
     values: Vec<f64>,
@@ -102,10 +103,7 @@ pub fn gve_lpa(g: &Csr, config: &GveLpaConfig) -> GveLpaResult {
     let labels: Vec<AtomicU32> = (0..n as VertexId).map(AtomicU32::new).collect();
     let processed: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(0)).collect();
 
-    // Pool of per-thread scratches (allocated lazily, one per worker).
-    let pool: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
-    let take = || pool.lock().pop().unwrap_or_else(|| Scratch::new(n));
-    let give = |s: Scratch| pool.lock().push(s);
+    let mut scratch = Scratch::new(n);
 
     let mut iterations = 0;
     let mut converged = false;
@@ -113,41 +111,32 @@ pub fn gve_lpa(g: &Csr, config: &GveLpaConfig) -> GveLpaResult {
     for iter in 0..config.max_iterations {
         iterations = iter + 1;
         let mut candidates: Vec<VertexId> = (0..n as VertexId)
-            .into_par_iter()
             .filter(|&v| processed[v as usize].load(Ordering::Relaxed) == 0 && g.degree(v) > 0)
             .collect();
         crate::common::shuffle(&mut candidates, config.seed ^ iter as u64);
 
-        let changed: usize = candidates
-            .par_chunks(256)
-            .map(|chunk| {
-                let mut scratch = take();
-                let mut local_changed = 0usize;
-                for &v in chunk {
-                    processed[v as usize].store(1, Ordering::Relaxed);
-                    scratch.clear();
-                    for (j, w) in g.neighbors(v) {
-                        if j == v {
-                            continue;
-                        }
-                        scratch.accumulate(labels[j as usize].load(Ordering::Relaxed), w as f64);
-                    }
-                    let Some(c_star) = scratch.max_key() else {
-                        continue;
-                    };
-                    let cur = labels[v as usize].load(Ordering::Relaxed);
-                    if c_star != cur {
-                        labels[v as usize].store(c_star, Ordering::Relaxed);
-                        local_changed += 1;
-                        for &j in g.neighbor_ids(v) {
-                            processed[j as usize].store(0, Ordering::Relaxed);
-                        }
-                    }
+        let mut changed = 0usize;
+        for &v in &candidates {
+            processed[v as usize].store(1, Ordering::Relaxed);
+            scratch.clear();
+            for (j, w) in g.neighbors(v) {
+                if j == v {
+                    continue;
                 }
-                give(scratch);
-                local_changed
-            })
-            .sum();
+                scratch.accumulate(labels[j as usize].load(Ordering::Relaxed), w as f64);
+            }
+            let Some(c_star) = scratch.max_key() else {
+                continue;
+            };
+            let cur = labels[v as usize].load(Ordering::Relaxed);
+            if c_star != cur {
+                labels[v as usize].store(c_star, Ordering::Relaxed);
+                changed += 1;
+                for &j in g.neighbor_ids(v) {
+                    processed[j as usize].store(0, Ordering::Relaxed);
+                }
+            }
+        }
 
         if (changed as f64 / n.max(1) as f64) < config.tolerance {
             converged = true;

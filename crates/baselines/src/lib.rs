@@ -20,6 +20,11 @@
 //! evaluated ([`copra()`](fn@copra), [`slpa()`](fn@slpa), [`labelrank()`](fn@labelrank)), against which plain
 //! LPA "emerged as the most efficient, delivering communities of
 //! comparable quality".
+//!
+//! Every baseline here runs on one host thread. NetworKit-PLP and
+//! GVE-LPA are multicore codes and Gunrock is a GPU code in their
+//! original form, so Fig. 6 compares ν-LPA against single-threaded ports
+//! of them (EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,8 @@
 //! Reimplementation of `NetworKit::PLP::run()` as the paper describes it
 //! (§2, related work): every vertex starts with a unique label; a boolean
 //! active-flag vector tracks vertices whose neighbourhood changed; each
-//! iteration processes active vertices in parallel (OpenMP *guided*
-//! schedule ≈ Rayon's work-stealing over a shuffled order); per-vertex
+//! iteration processes active vertices in parallel in NetworKit (OpenMP
+//! *guided* schedule) and in a shuffled order on one thread here; per-vertex
 //! label weights live in an `std::map` (here `BTreeMap` — deliberately,
 //! since the paper's critique of PLP is precisely this allocation-heavy
 //! map); convergence uses the threshold heuristic: stop when fewer than
@@ -12,7 +12,6 @@
 
 use crate::common::{argmax_label, shuffle};
 use nulpa_graph::{Csr, VertexId};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
@@ -71,7 +70,7 @@ pub fn networkit_plp(g: &Csr, config: &PlpConfig) -> PlpResult {
         shuffle(&mut order, config.seed ^ iter as u64);
 
         let updated: usize = order
-            .par_iter()
+            .iter()
             .map(|&v| {
                 active[v as usize].store(0, Ordering::Relaxed);
                 // the std::map the paper criticises

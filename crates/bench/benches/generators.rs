@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nulpa_graph::gen::{grid2d, kmer_chain, planted_partition, web_crawl};
-use nulpa_metrics::{modularity, modularity_par};
+use nulpa_metrics::modularity;
 
 fn benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("generators_10k_vertices");
@@ -34,9 +34,6 @@ fn benches(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("sequential", |b| {
         b.iter(|| black_box(modularity(&g, &labels)))
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| black_box(modularity_par(&g, &labels)))
     });
     group.finish();
 }

@@ -14,7 +14,7 @@
 use nulpa_bench::{geomean, print_header, BenchArgs, Report, Table};
 use nulpa_core::{lpa_gpu, LpaConfig};
 use nulpa_graph::datasets::figure_specs;
-use nulpa_metrics::modularity_par;
+use nulpa_metrics::modularity;
 
 fn sweep(args: &BenchArgs, configs: &[(String, LpaConfig)]) -> Vec<(String, f64, f64, f64)> {
     let mut cycles = vec![Vec::new(); configs.len()];
@@ -27,7 +27,7 @@ fn sweep(args: &BenchArgs, configs: &[(String, LpaConfig)]) -> Vec<(String, f64,
         for (i, (_, cfg)) in configs.iter().enumerate() {
             let r = lpa_gpu(g, cfg);
             graph_cycles.push(r.stats.sim_cycles.max(1) as f64);
-            quality[i].push(modularity_par(g, &r.labels).max(1e-6));
+            quality[i].push(modularity(g, &r.labels).max(1e-6));
             iters[i].push(r.iterations as f64);
         }
         let min_c = graph_cycles.iter().cloned().fold(f64::MAX, f64::min);

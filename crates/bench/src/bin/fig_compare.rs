@@ -19,7 +19,7 @@ use nulpa_bench::{geomean, median_time, print_header, BenchArgs, Report, Table};
 use nulpa_core::{lpa_native, LpaConfig};
 use nulpa_graph::datasets::all_specs;
 use nulpa_graph::Csr;
-use nulpa_metrics::modularity_par;
+use nulpa_metrics::modularity;
 
 const IMPLS: [&str; 5] = ["FLPA", "NetworKit", "Gunrock", "Louvain", "nu-LPA"];
 
@@ -57,7 +57,7 @@ fn main() {
         for i in 0..IMPLS.len() {
             let (t, labels) = median_time(args.repeats, || run_impl(i, g));
             times.push(t.as_secs_f64().max(1e-9));
-            quals.push(modularity_par(g, &labels));
+            quals.push(modularity(g, &labels));
         }
         let nu = times[4];
         for i in 0..IMPLS.len() {

@@ -10,7 +10,7 @@
 use nulpa_bench::{geomean, median_time, print_header, BenchArgs};
 use nulpa_core::{lpa_gpu, lpa_native, LpaConfig, ValueType};
 use nulpa_graph::datasets::figure_specs;
-use nulpa_metrics::modularity_par;
+use nulpa_metrics::modularity;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -35,7 +35,7 @@ fn main() {
             let cfg = LpaConfig::default().with_value_type(*vt);
             let r = lpa_gpu(g, &cfg);
             cycles.push(r.stats.sim_cycles.max(1) as f64);
-            qualities[i].push(modularity_par(g, &r.labels));
+            qualities[i].push(modularity(g, &r.labels));
             let (t, _) = median_time(args.repeats, || lpa_native(g, &cfg));
             walls.push(t.as_secs_f64().max(1e-9));
         }

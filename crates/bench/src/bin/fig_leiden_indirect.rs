@@ -11,7 +11,7 @@ use nulpa_baselines::{communities_connected, leiden, louvain, LeidenConfig, Louv
 use nulpa_bench::{geomean, median_time, print_header, BenchArgs};
 use nulpa_core::{lpa_native, LpaConfig};
 use nulpa_graph::datasets::all_specs;
-use nulpa_metrics::modularity_par;
+use nulpa_metrics::modularity;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -37,9 +37,9 @@ fn main() {
         let (t_ld, ld) = median_time(args.repeats, || leiden(g, &LeidenConfig::default()));
 
         let qs = [
-            modularity_par(g, &nu.labels),
-            modularity_par(g, &lv.labels),
-            modularity_par(g, &ld.labels),
+            modularity(g, &nu.labels),
+            modularity(g, &lv.labels),
+            modularity(g, &ld.labels),
         ];
         for (i, labels) in [&nu.labels, &lv.labels, &ld.labels].iter().enumerate() {
             if communities_connected(g, labels) {

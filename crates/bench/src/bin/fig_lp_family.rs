@@ -11,7 +11,7 @@ use nulpa_baselines::{copra, labelrank, slpa, CopraConfig, LabelRankConfig, Slpa
 use nulpa_bench::{geomean, median_time, print_header, BenchArgs};
 use nulpa_core::{lpa_native, LpaConfig};
 use nulpa_graph::datasets::all_specs;
-use nulpa_metrics::modularity_par;
+use nulpa_metrics::modularity;
 
 const METHODS: [&str; 4] = ["LPA", "COPRA", "SLPA", "LabelRank"];
 
@@ -56,7 +56,7 @@ fn main() {
         for run in &runs {
             let (t, labels) = median_time(args.repeats.min(3), run);
             times.push(t.as_secs_f64().max(1e-9));
-            quals.push(modularity_par(g, &labels));
+            quals.push(modularity(g, &labels));
         }
         for i in 0..METHODS.len() {
             rel_time[i].push(times[i] / times[0]);

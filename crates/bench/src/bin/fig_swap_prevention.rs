@@ -14,7 +14,7 @@
 use nulpa_bench::{geomean, print_header, BenchArgs, Report, Table};
 use nulpa_core::{lpa_gpu, LpaConfig, SwapMode};
 use nulpa_graph::datasets::figure_specs;
-use nulpa_metrics::modularity_par;
+use nulpa_metrics::modularity;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -55,7 +55,7 @@ fn main() {
             let cfg = LpaConfig::default().with_swap_mode(*mode);
             let r = lpa_gpu(g, &cfg);
             graph_cycles.push(r.stats.sim_cycles.max(1) as f64);
-            graph_q.push(modularity_par(g, &r.labels).max(1e-6));
+            graph_q.push(modularity(g, &r.labels).max(1e-6));
         }
         let min_c = graph_cycles.iter().cloned().fold(f64::MAX, f64::min);
         let max_q = graph_q.iter().cloned().fold(f64::MIN, f64::max);

@@ -71,6 +71,10 @@ impl SwapMode {
 /// (`low_max < degree <= mid_max`) in small chunks; high-degree hubs
 /// (`degree > mid_max`) one at a time, so a single hub can never
 /// serialize a whole chunk behind it (see DESIGN.md §10).
+///
+/// [`crate::lpa_native`] always runs with the default thresholds; other
+/// values only reach [`crate::bucket_partition`] when it is called
+/// directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketThresholds {
     /// Largest degree still counted as "low" (default 32 — the warp
@@ -149,14 +153,6 @@ pub struct LpaConfig {
     /// available parallelism. Results are bit-for-bit identical at every
     /// setting; see [`resolve_threads`].
     pub threads: usize,
-    /// Degree-bucketed fast path for the native backend: `Some(..)` (the
-    /// default) routes `lpa_native` through the cache-blocked, dense-
-    /// counter engine with the given bucket thresholds; `None` keeps the
-    /// legacy per-vertex hashtable path. Labels differ between the two
-    /// paths only in tie-breaks (the fast path uses the sequential
-    /// backend's scrambled tie-break; the hashtable path is slot-order
-    /// dependent), but each path is bit-identical across thread counts.
-    pub buckets: Option<BucketThresholds>,
 }
 
 impl Default for LpaConfig {
@@ -174,7 +170,6 @@ impl Default for LpaConfig {
             device: DeviceConfig::a100(),
             cost: CostModel::default_gpu(),
             threads: 0,
-            buckets: Some(BucketThresholds::default()),
         }
     }
 }
@@ -239,17 +234,6 @@ impl LpaConfig {
         }
         if self.frontier && !self.pruning {
             return Err("frontier mode requires pruning (the worklist is the pruning rule)".into());
-        }
-        if let Some(b) = self.buckets {
-            if b.low_max == 0 {
-                return Err("bucket threshold low_max must be positive".into());
-            }
-            if b.low_max >= b.mid_max {
-                return Err(format!(
-                    "bucket thresholds must satisfy low_max < mid_max (got {} >= {})",
-                    b.low_max, b.mid_max
-                ));
-            }
         }
         self.device.validate()
     }
@@ -320,13 +304,6 @@ impl LpaConfig {
         self.threads = t;
         self
     }
-
-    /// Builder-style setter for the native fast path's degree buckets
-    /// (`None` = legacy per-vertex hashtable path).
-    pub fn with_buckets(mut self, b: Option<BucketThresholds>) -> Self {
-        self.buckets = b;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -344,38 +321,14 @@ mod tests {
         assert_eq!(c.value_type, ValueType::F32);
         assert!(c.pruning);
         assert!(!c.frontier);
-        assert_eq!(c.buckets, Some(BucketThresholds::default()));
         assert!(c.validate().is_ok());
     }
 
     #[test]
-    fn bucket_threshold_defaults_and_validation() {
+    fn bucket_threshold_defaults() {
         let b = BucketThresholds::default();
         assert_eq!(b.low_max, 32);
         assert_eq!(b.mid_max, 512);
-        let base = LpaConfig::default();
-        assert!(base.with_buckets(None).validate().is_ok());
-        assert!(base
-            .with_buckets(Some(BucketThresholds {
-                low_max: 0,
-                mid_max: 8
-            }))
-            .validate()
-            .is_err());
-        assert!(base
-            .with_buckets(Some(BucketThresholds {
-                low_max: 64,
-                mid_max: 64
-            }))
-            .validate()
-            .is_err());
-        assert!(base
-            .with_buckets(Some(BucketThresholds {
-                low_max: 4,
-                mid_max: 1024
-            }))
-            .validate()
-            .is_ok());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Disjoint-region shared buffer.
 //!
-//! The native backend keeps all per-vertex hashtables in two global
-//! buffers, exactly like the GPU layout (paper Fig. 2). During one LPA
-//! iteration every vertex is processed by exactly one Rayon task, and the
-//! per-vertex regions `[2·O_i, 2·O_i + 2·D_i)` are pairwise disjoint by
-//! CSR construction — so handing each task a `&mut` view of its own region
-//! is sound even though the buffer itself is shared. Rust cannot see that
+//! The GPU backend keeps all per-vertex hashtables in two global buffers,
+//! exactly like the paper's layout (Fig. 2). During one LPA iteration
+//! every vertex is processed by exactly one lane (or one cooperative
+//! block), possibly on different host threads, and the per-vertex regions
+//! `[2·O_i, 2·O_i + 2·D_i)` are pairwise disjoint by CSR construction —
+//! so handing each lane a `&mut` view of its own region is sound even
+//! though the buffer itself is shared. Rust cannot see that
 //! through an ordinary `Vec`, hence this small `UnsafeCell` wrapper with
 //! the invariant stated at the single `unsafe` boundary.
 
@@ -75,16 +76,25 @@ impl<T> DisjointBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn disjoint_parallel_writes() {
+        // Four threads write interleaved regions concurrently: thread t
+        // owns every region [10i, 10i+10) with i ≡ t (mod 4).
         let buf = DisjointBuffer::new(vec![0u32; 1000]);
-        (0..100usize).into_par_iter().for_each(|i| {
-            // SAFETY: regions [10i, 10i+10) are pairwise disjoint
-            let s = unsafe { buf.slice_mut(i * 10, 10) };
-            for (k, cell) in s.iter_mut().enumerate() {
-                *cell = (i * 10 + k) as u32;
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let buf = &buf;
+                s.spawn(move || {
+                    for i in (t..100).step_by(4) {
+                        // SAFETY: regions [10i, 10i+10) are pairwise
+                        // disjoint and each i belongs to one thread
+                        let s = unsafe { buf.slice_mut(i * 10, 10) };
+                        for (k, cell) in s.iter_mut().enumerate() {
+                            *cell = (i * 10 + k) as u32;
+                        }
+                    }
+                });
             }
         });
         let v = buf.into_inner();

@@ -1,10 +1,10 @@
 //! Degree-bucketed, cache-blocked multi-core fast path for [`crate::lpa_native`].
 //!
-//! The legacy native path computes each vertex's pick with a per-vertex
-//! open-addressing hashtable carved out of two `2|E|` buffers — faithful
-//! to the paper's GPU kernel, but memory-hungry and hash-bound on a CPU.
-//! This module replaces the hot loop with the layout a host actually
-//! wants (DESIGN.md §10):
+//! The paper's GPU kernel (reproduced by [`crate::lpa_gpu`]) computes each
+//! vertex's pick with a per-vertex open-addressing hashtable carved out
+//! of two `2|E|` buffers — memory-hungry and hash-bound on a CPU. This
+//! module computes the same picks with the layout a host actually wants
+//! (DESIGN.md §10):
 //!
 //! * **Cache blocks** — each iteration's (shuffled) candidate list is cut
 //!   into blocks of bounded adjacency volume
@@ -18,7 +18,7 @@
 //! * **Flat counts** — label weights accumulate into a dense per-thread
 //!   `Vec` indexed by label, reset by generation stamp instead of
 //!   clearing (`ScratchPad`). Weight ties are broken exactly like the
-//!   legacy table's `hashtableMaxKey` (first maximal slot in probe-built
+//!   per-vertex table's `hashtableMaxKey` (first maximal slot in probe-built
 //!   slot order); the slot layout is only simulated when a tie actually
 //!   occurs, so the dense argmax stays hash-free on weighted graphs.
 //!
@@ -129,9 +129,8 @@ impl<V: HashValue> ScratchPad<V> {
 /// Reusable state for the fast path, created once per `lpa_native` run.
 pub(crate) struct FastState<V> {
     threads: usize,
-    thresholds: BucketThresholds,
-    /// Probe strategy of the legacy per-vertex tables — replayed by the
-    /// tie-break so both paths pick identical labels.
+    /// Probe strategy of the per-vertex tables — replayed by the
+    /// tie-break so picks match the table kernel's.
     probe: ProbeStrategy,
     /// Upper bound on the per-block adjacency budget (L2 sizing).
     block_edges: usize,
@@ -154,9 +153,8 @@ pub(crate) struct FastState<V> {
     runprof: RunProf,
 }
 
-/// Frontier-mode bookkeeping threaded through the commit phase; mirrors
-/// the legacy path exactly so worklist contents stay bit-identical to
-/// the dense sweep.
+/// Frontier-mode bookkeeping threaded through the commit phase, so
+/// worklist contents stay bit-identical to the dense sweep.
 pub(crate) struct FrontierCtx<'a> {
     pub queued: &'a [AtomicU8],
     pub worklist: &'a mut Vec<VertexId>,
@@ -167,7 +165,6 @@ impl<V: HashValue> FastState<V> {
     pub(crate) fn new(
         n: usize,
         threads: usize,
-        thresholds: BucketThresholds,
         block_edges: usize,
         probe: ProbeStrategy,
         profile: bool,
@@ -177,7 +174,6 @@ impl<V: HashValue> FastState<V> {
         let prof = runprof.thread_recorders(threads);
         FastState {
             threads,
-            thresholds,
             probe,
             block_edges: block_edges.max(MIN_BLOCK_EDGES),
             picks: Vec::new(),
@@ -223,7 +219,8 @@ impl<V: HashValue> FastState<V> {
         let buckets: Vec<[Vec<usize>; 3]> = blocks
             .iter()
             .map(|b| {
-                let mut bk = bucket_partition(g, &candidates[b.clone()], self.thresholds);
+                let mut bk =
+                    bucket_partition(g, &candidates[b.clone()], BucketThresholds::default());
                 for list in bk.iter_mut() {
                     for i in list.iter_mut() {
                         *i += b.start;
@@ -425,7 +422,7 @@ fn compute_block<V: HashValue>(
 /// neighbour label weights into the dense scratch, then take the
 /// heaviest label. A unique maximum needs no tie-break and is returned
 /// straight off the `touched` scan; on a weight tie the winner is
-/// resolved by [`slot_order_winner`], reproducing the legacy table path
+/// resolved by [`slot_order_winner`], reproducing the per-vertex table
 /// bit-for-bit. Either way the pick is a pure function of the label
 /// state, so it cannot depend on bucket or chunk scheduling.
 fn compute_pick<V: HashValue>(
@@ -473,12 +470,12 @@ fn compute_pick<V: HashValue>(
     (c_star != cur && (!pick_less || c_star < cur)).then_some(c_star)
 }
 
-/// Tie-break replay of the legacy per-vertex hashtable: rebuild the
+/// Tie-break replay of the per-vertex hashtable: rebuild the
 /// table's slot assignment (same capacity `p₁ = nextPow2(d) − 1`, probe
 /// sequences, probe budget and linear fallback as
 /// `TableMut::accumulate`) and rerun `hashtableMaxKey`'s
 /// strictly-greater slot scan over the dense counts — so the *first
-/// maximal slot's* key wins, exactly as on the legacy path.
+/// maximal slot's* key wins, exactly as in the table kernel.
 ///
 /// Two replays are skipped because they cannot change the outcome:
 /// weights (per label both paths add the same values in the same CSR
@@ -487,7 +484,9 @@ fn compute_pick<V: HashValue>(
 /// original probe path over slots that are still occupied, so it always
 /// lands on its existing slot and never claims a new one. Slot
 /// assignment is therefore a function of the *distinct* labels in
-/// first-occurrence CSR order, which is exactly `scratch.touched`.
+/// first-occurrence CSR order, which is exactly `scratch.touched`. The
+/// `weight_ties_resolve_to_table_slot_order_winner` proptest pins this
+/// against `TableMut` itself.
 fn slot_order_winner<V: HashValue>(
     g: &Csr,
     v: VertexId,
@@ -564,7 +563,7 @@ fn slot_order_winner<V: HashValue>(
 /// neighbour moved earlier in this block (in which case the pick is
 /// recomputed against the live labels), and an adopted move stores the
 /// label, clears neighbour `processed` flags, and — in frontier mode —
-/// CAS-claims worklist pushes, just like the legacy path.
+/// claims worklist pushes through the `queued` flags.
 ///
 /// Returns `(ΔN, picks recomputed)`. The repair count depends only on
 /// the block partition and commit order — both deterministic — so it is
@@ -629,6 +628,7 @@ fn commit_block<V: HashValue>(
 mod tests {
     use super::*;
     use nulpa_graph::gen::{erdos_renyi, star};
+    use proptest::prelude::*;
 
     #[test]
     fn bucket_partition_is_disjoint_cover() {
@@ -696,35 +696,88 @@ mod tests {
         assert_eq!(a, b, "second use of the scratch must see fresh counts");
     }
 
-    #[test]
-    fn weight_tie_resolves_to_legacy_slot_order_winner() {
-        // Vertex 0 sees labels 1 and 2 at equal weight. The legacy path
-        // builds a per-vertex table and takes the first maximal slot;
-        // the fast path must land on the same label the table would.
-        let g = nulpa_graph::GraphBuilder::new(3)
-            .add_undirected_edge(0, 1, 1.0)
-            .add_undirected_edge(0, 2, 1.0)
-            .build();
-        let labels: Vec<AtomicU32> = (0..3).map(AtomicU32::new).collect();
-        for probe in [
-            ProbeStrategy::Linear,
-            ProbeStrategy::Quadratic,
-            ProbeStrategy::Double,
-            ProbeStrategy::QuadraticDouble,
-        ] {
-            let mut s = ScratchPad::<f32>::new(3);
-            let pick = compute_pick(&g, 0, false, probe, &labels, &mut s);
-            // replay the legacy table to get the expected winner
-            let p1 = capacity_for_degree(g.degree(0));
-            let p2 = secondary_prime(p1);
-            let mut keys = vec![nulpa_hashtab::EMPTY_KEY; p1];
-            let mut vals = vec![0.0f32; p1];
-            let mut t = nulpa_hashtab::TableMut::<f32>::new(&mut keys, &mut vals, p2);
-            for (j, w) in g.neighbors(0) {
-                t.accumulate(probe, labels[j as usize].load(Ordering::Relaxed), w);
+    /// Edge weights of the tie-break proptest: few and exactly
+    /// representable, so equal label weights are common.
+    const WEIGHTS: [f32; 4] = [0.25, 0.5, 1.0, 0.1];
+
+    /// Vertex 0 with `d ∈ {2^k − 1, 2^k, 2^k + 1}` distinct neighbours —
+    /// either side of the jumps of `capacity_for_degree` — plus an
+    /// optional self loop. The neighbours share a few labels in counts
+    /// that differ by at most one, drawn from a range wider than the
+    /// table so probe sequences collide. Edge weights come from
+    /// [`WEIGHTS`], per edge or one for all (then the label counts alone
+    /// decide, and ties are certain). Vertex 0 keeps label 0, which no
+    /// neighbour has, so its pick is always the heaviest label.
+    fn arb_neighbourhood() -> impl Strategy<Value = (Csr, Vec<u32>)> {
+        (1u32..8, 0usize..3, 2usize..17, 0u8..2, 0u8..2).prop_flat_map(
+            |(k, off, pool, self_loop, uniform)| {
+                let d = (1usize << k) + off - 1;
+                let n = d + 1 + 256;
+                let pool = pool.min(d);
+                let pool_labels = proptest::collection::vec(1..n as u32, pool);
+                let nbrs = proptest::collection::vec((0u32..1 << 16, 0..WEIGHTS.len()), d);
+                (pool_labels, nbrs).prop_map(move |(pool_labels, nbrs)| {
+                    let mut b = nulpa_graph::GraphBuilder::new(n).keep_self_loops(true);
+                    if self_loop == 1 {
+                        b = b.add_edge(0, 0, 1.0);
+                    }
+                    // neighbour ranked r in a random order takes pool label r mod pool
+                    let mut order: Vec<usize> = (0..d).collect();
+                    order.sort_by_key(|&j| nbrs[j].0);
+                    let mut labels: Vec<u32> = (0..n as u32).collect();
+                    for (rank, &j) in order.iter().enumerate() {
+                        labels[j + 1] = pool_labels[rank % pool];
+                    }
+                    for (j, &(_, w)) in (1..).zip(&nbrs) {
+                        let w = if uniform == 1 { nbrs[0].1 } else { w };
+                        b = b.add_undirected_edge(0, j, WEIGHTS[w]);
+                    }
+                    (b.build(), labels)
+                })
+            },
+        )
+    }
+
+    /// Vertex 0's pick on the fast path.
+    fn fast_pick<V: HashValue>(g: &Csr, labels: &[u32], probe: ProbeStrategy) -> Option<u32> {
+        let labels: Vec<AtomicU32> = labels.iter().map(|&l| AtomicU32::new(l)).collect();
+        let mut s = ScratchPad::<V>::new(labels.len());
+        compute_pick(g, 0, false, probe, &labels, &mut s)
+    }
+
+    /// Vertex 0's pick from a per-vertex table, as the paper's
+    /// thread-per-vertex kernel builds it (`TableMut::accumulate`, then
+    /// the first maximal slot of `max_key`).
+    fn table_pick<V: HashValue>(g: &Csr, labels: &[u32], probe: ProbeStrategy) -> Option<u32> {
+        let p1 = capacity_for_degree(g.degree(0));
+        let mut keys = vec![nulpa_hashtab::EMPTY_KEY; p1];
+        let mut vals = vec![V::zero(); p1];
+        let mut t = nulpa_hashtab::TableMut::<V>::new(&mut keys, &mut vals, secondary_prime(p1));
+        for (j, w) in g.neighbors(0) {
+            if j != 0 {
+                t.accumulate(probe, labels[j as usize], V::from_weight(w));
             }
-            let expect = t.max_key().map(|(k, _)| k);
-            assert_eq!(pick, expect, "probe {probe:?} diverged from legacy table");
+        }
+        t.max_key().map(|(k, _)| k)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn weight_ties_resolve_to_table_slot_order_winner((g, labels) in arb_neighbourhood()) {
+            for probe in ProbeStrategy::all() {
+                prop_assert_eq!(
+                    fast_pick::<f32>(&g, &labels, probe),
+                    table_pick::<f32>(&g, &labels, probe),
+                    "f32, {:?}", probe
+                );
+                prop_assert_eq!(
+                    fast_pick::<f64>(&g, &labels, probe),
+                    table_pick::<f64>(&g, &labels, probe),
+                    "f64, {:?}", probe
+                );
+            }
         }
     }
 }

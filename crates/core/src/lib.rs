@@ -7,8 +7,10 @@
 //!   on the SIMT simulator with full cost metering (Algorithm 1 + 2,
 //!   Pick-Less / Cross-Check swap mitigation, thread- and block-per-vertex
 //!   kernels, per-vertex hashtables).
-//! * [`lpa_native`] — the same algorithm as a native Rayon port, used for
-//!   wall-clock benchmarking against the baselines (Fig. 6).
+//! * [`lpa_native`] — the same algorithm as a native multi-threaded port
+//!   (the degree-bucketed fast path in [`fastpath`], driven by
+//!   [`native`]), used for wall-clock benchmarking against the baselines
+//!   (Fig. 6).
 //! * [`lpa_seq`] — a simple sequential reference for differential testing.
 //!
 //! Plus [`pulp_partition`] — the paper's stated future-work application:
@@ -30,12 +32,12 @@
 pub mod addr;
 pub mod coarsen;
 pub mod config;
-// The only unsafe code in the workspace lives in these three modules
+// The only unsafe code in this crate lives in these two modules
 // (audited, allowlisted in check/unsafe_allowlist.toml and enforced by
 // `nulpa check`): `disjoint` hands out non-overlapping mutable table
-// regions from one buffer, and `native` and `gpu` take such disjoint
-// per-vertex regions from it (vertex-disjoint by CSR construction) for
-// their parallel table writes.
+// regions from one buffer, and `gpu` takes such disjoint per-vertex
+// regions from it (vertex-disjoint by CSR construction) for its
+// parallel table writes.
 #[allow(unsafe_code)]
 pub mod disjoint;
 pub mod dynamic;
@@ -45,7 +47,6 @@ pub mod fastpath;
 pub mod gpu;
 pub mod hostprof;
 pub mod linkpred;
-#[allow(unsafe_code)]
 pub mod native;
 pub mod observe;
 pub mod partition;

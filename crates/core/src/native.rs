@@ -1,33 +1,31 @@
-//! Native (CPU, Rayon) port of ν-LPA — the wall-clock backend.
+//! Native (CPU) port of ν-LPA — the wall-clock backend.
 //!
 //! The paper's headline speedups (Fig. 6) are wall-clock numbers on real
 //! hardware; the SIMT simulator measures *modelled* cycles, not time. This
-//! backend runs the same algorithm — per-vertex open-addressing
-//! hashtables in two `2|E|` buffers, quadratic-double probing, Pick-Less
-//! every 4 iterations, vertex pruning, strict first-max label picks —
-//! natively with Rayon, and is what `fig_compare` times against the
-//! baselines.
+//! module is the iteration driver of that port: it owns the label and
+//! pruning state, picks each iteration's candidates (a dense filtered
+//! sweep, or the frontier worklist), shuffles them, hands them to the
+//! degree-bucketed fast path ([`crate::fastpath`]) that computes and
+//! commits the label moves on `--threads N` host threads, and then runs
+//! the Cross-Check pass, the observers and the convergence test.
 //!
 //! Differences from the GPU backend, all documented in DESIGN.md:
-//! * Fully asynchronous label visibility (relaxed atomic loads/stores; no
-//!   wave buffering). CPUs have no lockstep, so swap cycles are *less*
-//!   likely, but the paper's mitigation schedule is kept for parity.
-//! * ΔN is computed with a parallel reduction (the paper's stated
-//!   improvement over NetworKit's shared atomic counter).
-//! * One task per vertex regardless of degree — there is no warp to keep
-//!   busy — but the unshared table path matches the thread-per-vertex
-//!   kernel exactly.
+//! * The committed trajectory is the fully sequential asynchronous sweep
+//!   over the shuffled candidates (no wave buffering), at any thread
+//!   count. CPUs have no lockstep, so swap cycles are *less* likely, but
+//!   the paper's mitigation schedule is kept for parity.
+//! * Label weights accumulate in dense per-thread counters instead of
+//!   per-vertex hashtables; a weight tie replays the table's slot order,
+//!   so the pick is the one the paper's thread-per-vertex kernel makes.
 
 use crate::config::{LpaConfig, ValueType};
-use crate::disjoint::DisjointBuffer;
 use crate::fastpath::{FastState, FrontierCtx};
 use crate::hostprof::HostProfData;
 use crate::observe::{IterObserver, NullObserver};
 use crate::result::LpaResult;
 use nulpa_graph::{Csr, VertexId};
-use nulpa_hashtab::{HashValue, TableMut, TableSlot, EMPTY_KEY};
+use nulpa_hashtab::HashValue;
 use nulpa_simt::{track, KernelStats, NullSink, TraceSink};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::time::Instant;
 
@@ -66,9 +64,7 @@ pub fn lpa_native_observed(
 ///
 /// The profiled run is bit-identical to [`lpa_native`] — the recorder
 /// only observes which thread did what, never what was computed. Returns
-/// `None` profile data when the fast path is disabled
-/// (`config.buckets == None`) or the `hostprof` cargo feature is
-/// compiled out.
+/// `None` profile data when the `hostprof` cargo feature is compiled out.
 pub fn lpa_native_hostprof(g: &Csr, config: &LpaConfig) -> (LpaResult, Option<HostProfData>) {
     config.validate().expect("invalid LPA config");
     let init = (0..g.num_vertices() as VertexId).collect();
@@ -153,34 +149,19 @@ fn lpa_native_typed<V: HashValue>(
             flags
         }
     };
-    // Degree-bucketed fast path (default): dense per-thread counters and
-    // cache-blocked commits replace the per-vertex hashtables, so the
-    // 2|E| table buffers are only allocated for the legacy path.
-    let mut fast = config.buckets.map(|b| {
-        FastState::<V>::new(
-            n,
-            crate::config::resolve_threads(config.threads),
-            b,
-            nulpa_graph::blocks::DEFAULT_BLOCK_EDGES,
-            config.probe,
-            hostprof.is_some(),
-        )
-    });
-    let buf_len = if fast.is_some() {
-        0
-    } else {
-        TableSlot::buffer_len(g.num_edges())
-    };
-    let buf_k = DisjointBuffer::new(vec![EMPTY_KEY; buf_len]);
-    let buf_v = DisjointBuffer::new(vec![V::zero(); buf_len]);
+    let mut fast = FastState::<V>::new(
+        n,
+        crate::config::resolve_threads(config.threads),
+        nulpa_graph::blocks::DEFAULT_BLOCK_EDGES,
+        config.probe,
+        hostprof.is_some(),
+    );
 
-    // Frontier (worklist) state. Activation is deduplicated with atomic
-    // `queued` flags (the thread that flips 0 → 1 owns the push), each
-    // task returns its activations as a local list, and the lists are
-    // merged on the host in candidate order — the merged *set* is the
-    // race-free union, and sorting ascending at the next iteration start
-    // erases any thread-schedule dependence in the order. That is what
-    // keeps `--threads N` frontier runs bit-identical (see DESIGN.md).
+    // Frontier (worklist) state. Activation is deduplicated with the
+    // `queued` flags (the swap that flips 0 → 1 owns the push). Pushes
+    // happen in the fast path's sequential commit, in candidate order,
+    // and the worklist is sorted ascending at the next iteration start —
+    // so `--threads N` frontier runs stay bit-identical (see DESIGN.md).
     let frontier = config.frontier;
     let queued: Vec<AtomicU8> = (0..if frontier { n } else { 0 })
         .map(|_| AtomicU8::new(0))
@@ -245,7 +226,6 @@ fn lpa_native_typed<V: HashValue>(
         } else {
             (
                 (0..n as VertexId)
-                    .into_par_iter()
                     .filter(|&v| {
                         (!config.pruning || processed[v as usize].load(Ordering::Relaxed) == 0)
                             && g.degree(v) > 0
@@ -278,63 +258,13 @@ fn lpa_native_typed<V: HashValue>(
         }
         crate::seq::shuffle_candidates(&mut candidates, iter);
 
-        // ΔN via parallel reduce — no shared counter contention.
-        let mut changed: usize;
-        if let Some(fp) = fast.as_mut() {
-            changed = if frontier {
-                fp.run_iteration(
-                    g,
-                    iter,
-                    &candidates,
-                    pick_less,
-                    &labels,
-                    &processed,
-                    Some(FrontierCtx {
-                        queued: &queued,
-                        worklist: &mut worklist,
-                        movers: &mut movers,
-                    }),
-                )
-            } else {
-                fp.run_iteration(g, iter, &candidates, pick_less, &labels, &processed, None)
-            };
-        } else if frontier {
-            let outcomes: Vec<(bool, Vec<VertexId>)> = candidates
-                .par_iter()
-                .map(|&v| {
-                    let mut acts = Vec::new();
-                    let moved = process_vertex::<V>(
-                        g,
-                        config,
-                        v,
-                        pick_less,
-                        &labels,
-                        &processed,
-                        &buf_k,
-                        &buf_v,
-                        Some((queued.as_slice(), &mut acts)),
-                    );
-                    (moved, acts)
-                })
-                .collect();
-            changed = 0;
-            for (i, (moved, acts)) in outcomes.into_iter().enumerate() {
-                if moved {
-                    changed += 1;
-                    movers.push(candidates[i]);
-                }
-                worklist.extend(acts);
-            }
-        } else {
-            changed = candidates
-                .par_iter()
-                .map(|&v| {
-                    process_vertex::<V>(
-                        g, config, v, pick_less, &labels, &processed, &buf_k, &buf_v, None,
-                    ) as usize
-                })
-                .sum();
-        }
+        let fr = frontier.then(|| FrontierCtx {
+            queued: &queued,
+            worklist: &mut worklist,
+            movers: &mut movers,
+        });
+        let mut changed =
+            fast.run_iteration(g, iter, &candidates, pick_less, &labels, &processed, fr);
 
         // Cross-Check pass (paper §4.1): sequential over changed vertices,
         // so a revert is visible to the partner's check — this is the
@@ -408,7 +338,7 @@ fn lpa_native_typed<V: HashValue>(
     }
 
     if let Some(out) = hostprof {
-        *out = fast.as_mut().and_then(FastState::take_profile);
+        *out = fast.take_profile();
     }
     LpaResult {
         labels: labels.into_iter().map(|l| l.into_inner()).collect(),
@@ -418,70 +348,6 @@ fn lpa_native_typed<V: HashValue>(
         scanned_per_iter,
         stats: KernelStats::new(),
         staged_collisions: 0,
-    }
-}
-
-/// One vertex's label update; returns `true` if the label changed.
-///
-/// In frontier mode, `activate` carries the shared `queued` flags and the
-/// task-local activation list: a moving vertex CAS-claims each cleared
-/// neighbour (0 → 1) and records the ones it won, so every re-activated
-/// vertex lands in exactly one task's list.
-#[allow(clippy::too_many_arguments)]
-fn process_vertex<V: HashValue>(
-    g: &Csr,
-    config: &LpaConfig,
-    v: VertexId,
-    pick_less: bool,
-    labels: &[AtomicU32],
-    processed: &[AtomicU8],
-    buf_k: &DisjointBuffer<u32>,
-    buf_v: &DisjointBuffer<V>,
-    activate: Option<(&[AtomicU8], &mut Vec<VertexId>)>,
-) -> bool {
-    processed[v as usize].store(1, Ordering::Relaxed);
-    let degree = g.degree(v);
-    let slot = TableSlot::for_vertex(g.offset(v), degree);
-    if slot.capacity == 0 {
-        return false;
-    }
-    // SAFETY: regions derive from CSR offsets (pairwise disjoint across
-    // vertices) and each vertex appears at most once in `candidates`.
-    let keys = unsafe { buf_k.slice_mut(slot.start, slot.capacity) };
-    let values = unsafe { buf_v.slice_mut(slot.start, slot.capacity) };
-    let mut table = TableMut::<V>::new(keys, values, slot.p2);
-    table.clear();
-
-    for (j, w) in g.neighbors(v) {
-        if j == v {
-            continue;
-        }
-        let c_j = labels[j as usize].load(Ordering::Relaxed);
-        let outcome = table.accumulate(config.probe, c_j, V::from_weight(w));
-        debug_assert!(outcome.is_done(), "table sized by layout cannot fill");
-    }
-
-    let Some((c_star, _)) = table.max_key() else {
-        return false;
-    };
-    let cur = labels[v as usize].load(Ordering::Relaxed);
-    if c_star != cur && (!pick_less || c_star < cur) {
-        labels[v as usize].store(c_star, Ordering::Relaxed);
-        if let Some((queued, acts)) = activate {
-            for &j in g.neighbor_ids(v) {
-                processed[j as usize].store(0, Ordering::Relaxed);
-                if queued[j as usize].swap(1, Ordering::Relaxed) == 0 {
-                    acts.push(j);
-                }
-            }
-        } else {
-            for &j in g.neighbor_ids(v) {
-                processed[j as usize].store(0, Ordering::Relaxed);
-            }
-        }
-        true
-    } else {
-        false
     }
 }
 

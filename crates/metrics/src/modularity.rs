@@ -6,7 +6,6 @@
 //! must not depend on the hashtable datatype ablation (Fig. 5).
 
 use nulpa_graph::{Csr, VertexId};
-use rayon::prelude::*;
 
 /// Modularity `Q` of the partition `labels` on graph `g`, per Eq. 1:
 ///
@@ -47,49 +46,10 @@ pub fn modularity(g: &Csr, labels: &[VertexId]) -> f64 {
         .sum()
 }
 
-/// Parallel version of [`modularity`], used by the harness on the larger
-/// stand-ins. Numerically: per-community sums are formed with the same
-/// pairing, then reduced; results match the sequential version to within
-/// f64 rounding.
+/// [`modularity`] under a second name, kept because the end-to-end
+/// benchmark (`perfbench/`) calls it.
 pub fn modularity_par(g: &Csr, labels: &[VertexId]) -> f64 {
-    let n = g.num_vertices();
-    assert_eq!(labels.len(), n, "labels length mismatch");
-    let two_m = g.total_weight();
-    if two_m == 0.0 {
-        return 0.0;
-    }
-    let (sigma_in, sigma_tot) = (0..n as u32)
-        .into_par_iter()
-        .fold(
-            || (vec![0.0f64; n], vec![0.0f64; n]),
-            |(mut si, mut st), u| {
-                let cu = labels[u as usize] as usize;
-                assert!(cu < n, "label {cu} out of range");
-                for (v, w) in g.neighbors(u) {
-                    let w = w as f64;
-                    st[cu] += w;
-                    if labels[v as usize] == cu as VertexId {
-                        si[cu] += w;
-                    }
-                }
-                (si, st)
-            },
-        )
-        .reduce(
-            || (vec![0.0f64; n], vec![0.0f64; n]),
-            |(mut a1, mut a2), (b1, b2)| {
-                for i in 0..n {
-                    a1[i] += b1[i];
-                    a2[i] += b2[i];
-                }
-                (a1, a2)
-            },
-        );
-    sigma_in
-        .iter()
-        .zip(&sigma_tot)
-        .map(|(&si, &st)| si / two_m - (st / two_m) * (st / two_m))
-        .sum()
+    modularity(g, labels)
 }
 
 /// Modularity from already-accumulated per-community sums — the Eq. 1
@@ -201,15 +161,6 @@ mod tests {
         let good = caveman_ground_truth(4, 6);
         let bad: Vec<VertexId> = (0..24).map(|v| (v % 4) as VertexId).collect();
         assert!(modularity(&g, &good) > modularity(&g, &bad));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = nulpa_graph::gen::erdos_renyi(200, 600, 3);
-        let labels: Vec<VertexId> = (0..200).map(|v| (v % 17) as VertexId).collect();
-        let a = modularity(&g, &labels);
-        let b = modularity_par(&g, &labels);
-        assert!((a - b).abs() < 1e-9);
     }
 
     #[test]

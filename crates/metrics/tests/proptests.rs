@@ -3,7 +3,7 @@
 use nulpa_graph::GraphBuilder;
 use nulpa_metrics::{
     community_count, community_sizes, compact_labels, cut_fraction, edge_cut, imbalance,
-    modularity, modularity_par, nmi, same_partition,
+    modularity, nmi, same_partition,
 };
 use proptest::prelude::*;
 
@@ -22,13 +22,6 @@ fn arb_graph_and_labels() -> impl Strategy<Value = (nulpa_graph::Csr, Vec<u32>)>
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn parallel_modularity_matches_sequential((g, labels) in arb_graph_and_labels()) {
-        let a = modularity(&g, &labels);
-        let b = modularity_par(&g, &labels);
-        prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b);
-    }
 
     #[test]
     fn modularity_bounded((g, labels) in arb_graph_and_labels()) {

@@ -78,7 +78,7 @@ pub struct Checker {
     /// table id → key → first claimed slot (reset by `table_clear`).
     claims: HashMap<usize, HashMap<u32, usize>>,
     /// table id → in-flight probe session (tables are owned by one thread
-    /// at a time, so sessions from concurrent native workers never clash).
+    /// at a time, so sessions from concurrent host threads never clash).
     probes: HashMap<usize, ProbeSession>,
     hazards: Vec<Hazard>,
     counts: [u64; KIND_COUNT],

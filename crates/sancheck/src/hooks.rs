@@ -4,9 +4,8 @@
 //! functions (compiled in behind their `sancheck` cargo feature). Each
 //! hook starts with a single relaxed load of the global enabled flag, so
 //! an uninstalled checker costs one predictable branch per call site; the
-//! checker itself lives behind a mutex because hooks fire both from the
-//! single-threaded simulator and from rayon workers in the native
-//! backend.
+//! checker itself lives behind a mutex because hooks fire from every host
+//! thread of the simulator's sharded wave execution.
 
 use crate::checker::{Checker, CheckerConfig};
 use crate::report::SancheckReport;

@@ -40,9 +40,9 @@
 //! assert!(report.is_clean(), "{}", report.render());
 //! ```
 //!
-//! The checker is process-global (hooks fire from the simulator *and*
-//! from rayon worker threads in the native backend), guarded by an atomic
-//! enabled flag plus a mutex. When not installed, every hook is a single
+//! The checker is process-global (hooks fire from every host thread of
+//! the simulator's sharded wave execution), guarded by an atomic enabled
+//! flag plus a mutex. When not installed, every hook is a single
 //! relaxed atomic load — the neutrality tests in the workspace root assert
 //! that an installed checker changes no observable result and that a
 //! disabled one costs nothing measurable.

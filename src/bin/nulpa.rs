@@ -29,7 +29,7 @@ use nu_lpa::graph::io::{read_edge_list, read_matrix_market, write_edge_list};
 use nu_lpa::graph::stats::average_clustering;
 use nu_lpa::graph::subgraph::community_subgraph;
 use nu_lpa::graph::Csr;
-use nu_lpa::metrics::{community_count, cut_fraction, imbalance, modularity_par};
+use nu_lpa::metrics::{community_count, cut_fraction, imbalance, modularity};
 use nu_lpa::obs::{summary, ChromeTraceSink, Hist, JsonlSink, NullSink, TraceSink, Value};
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
@@ -73,7 +73,7 @@ fn usage() {
     eprintln!(
         "nulpa — nu-LPA community detection (paper reproduction)\n\n\
          USAGE:\n  nulpa stats [graph] [--backend B] [--json] [--history FILE] [--check BASELINE]\n              [--write-baseline FILE] [--telemetry FILE]   convergence observatory\n  \
-         nulpa detect <graph> [--method M] [--threads N] [--frontier] [--bucket-thresholds L,M | --no-buckets]\n              [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]\n  \
+         nulpa detect <graph> [--method M] [--threads N] [--frontier]\n              [--output FILE] [--quality] [--trace FILE] [--telemetry FILE]\n  \
          nulpa partition <graph> -k N [--balance F] [--output FILE]\n  \
          nulpa coarsen <graph> --target N [--output FILE]\n  \
          nulpa inspect <graph> [--top N]\n  \
@@ -102,10 +102,6 @@ fn usage() {
          FRONTIER: --frontier switches nu-lpa / nu-lpa-sim to worklist\n  \
          (active-set) scheduling: only re-activated vertices are scanned\n  \
          and, on the simulator, launched. Deterministic at any thread count.\n\n\
-         BUCKETS: nu-lpa runs the degree-bucketed cache-blocked fast path\n  \
-         by default; --bucket-thresholds LOW,MID sets the low/mid degree\n  \
-         cutoffs (default 32,512) and --no-buckets falls back to the\n  \
-         legacy per-vertex hashtable path.\n\n\
          TRACING: --trace x.jsonl writes a JSONL event stream; any other\n  \
          extension writes a Chrome trace-event file (open in Perfetto).\n  \
          Only nu-lpa and nu-lpa-sim are instrumented.\n\n\
@@ -138,15 +134,6 @@ fn write_labels(labels: &[u32], output: Option<&str>) -> Result<(), String> {
         writeln!(w, "{l}").map_err(|e| e.to_string())?;
     }
     w.flush().map_err(|e| e.to_string())
-}
-
-/// Parse `--bucket-thresholds LOW,MID` (e.g. `32,512`).
-fn parse_bucket_thresholds(s: &str) -> Result<nu_lpa::core::BucketThresholds, String> {
-    let err = || format!("--bucket-thresholds: expected LOW,MID positive integers, got `{s}`");
-    let (low, mid) = s.split_once(',').ok_or_else(err)?;
-    let low_max = low.trim().parse::<u32>().map_err(|_| err())?;
-    let mid_max = mid.trim().parse::<u32>().map_err(|_| err())?;
-    Ok(nu_lpa::core::BucketThresholds { low_max, mid_max })
 }
 
 fn opt_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -277,6 +264,18 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The backends `nulpa stats` runs, and so the only ones a quality-gate
+/// baseline may name.
+#[cfg(feature = "telemetry")]
+const STATS_BACKENDS: &[&str] = &[
+    "seq",
+    "nu-lpa",
+    "nu-lpa-sim",
+    "seq-frontier",
+    "nu-lpa-frontier",
+    "nu-lpa-sim-frontier",
+];
+
 /// `nulpa stats`: the convergence observatory. With a graph argument,
 /// print its statistics and then run the telemetered backend matrix over
 /// it; without one, use the built-in trio. Every run records wall-clock
@@ -322,16 +321,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         }
     };
 
-    const BACKENDS: &[&str] = &[
-        "seq",
-        "nu-lpa",
-        "nu-lpa-nobuckets",
-        "nu-lpa-sim",
-        "seq-frontier",
-        "nu-lpa-frontier",
-        "nu-lpa-sim-frontier",
-    ];
-    let backends: Vec<&str> = BACKENDS
+    let backends: Vec<&str> = STATS_BACKENDS
         .iter()
         .copied()
         .filter(|b| backend_filter.is_none_or(|f| *b == f))
@@ -340,7 +330,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         return Err(format!(
             "stats: unknown backend `{}` (available: {})",
             backend_filter.unwrap_or(""),
-            BACKENDS.join(", ")
+            STATS_BACKENDS.join(", ")
         ));
     }
 
@@ -455,9 +445,6 @@ fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, 
     let result = match backend {
         "seq" => lpa_seq_observed(g, &cfg, &mut sink, &mut rec),
         "nu-lpa" => lpa_native_observed(g, &cfg, &mut sink, &mut rec),
-        // The legacy per-vertex hashtable path, kept in the observatory so
-        // the fast path's quality and footprint are pinned against it.
-        "nu-lpa-nobuckets" => lpa_native_observed(g, &cfg.with_buckets(None), &mut sink, &mut rec),
         "nu-lpa-sim" => lpa_gpu_observed(g, &cfg, &mut sink, &mut rec),
         other => return Err(format!("stats: unknown backend `{other}`")),
     };
@@ -567,7 +554,9 @@ fn baseline_json(meta: &[(String, String)], records: &[nu_lpa::telemetry::RunRec
 /// Fails on a >1% relative modularity drop — deterministic, so this is
 /// the hard gate. Wall-clock and peak-heap regressions fail only beyond
 /// 10% AND above absolute floors (250 ms / 16 MiB): below the floors the
-/// built-in trio measures scheduler noise, not the algorithm.
+/// built-in trio measures scheduler noise, not the algorithm. Every
+/// baseline entry must name a backend from [`STATS_BACKENDS`]: a row left
+/// behind by a retired backend is an error, not a silent skip.
 #[cfg(feature = "telemetry")]
 fn check_against_baseline(
     baseline_text: &str,
@@ -590,6 +579,13 @@ fn check_against_baseline(
     for e in entries {
         let graph = e.get("graph").and_then(Json::as_str).unwrap_or("");
         let backend = e.get("backend").and_then(Json::as_str).unwrap_or("");
+        if !STATS_BACKENDS.contains(&backend) {
+            return Err(format!(
+                "quality gate: baseline entry {graph}/{backend} names an unknown backend \
+                 `{backend}` (available: {})",
+                STATS_BACKENDS.join(", ")
+            ));
+        }
         let Some(r) = records
             .iter()
             .find(|r| r.graph == graph && r.backend == backend)
@@ -641,6 +637,38 @@ fn check_against_baseline(
     Ok(())
 }
 
+/// Check the arguments that follow `detect`'s graph path against the
+/// flags it accepts, so a misspelt or retired flag is an error instead of
+/// being silently ignored. Returns whether `--help` was among them.
+fn check_detect_args(args: &[String]) -> Result<bool, String> {
+    const VALUE_FLAGS: &[&str] = &[
+        "--method",
+        "--output",
+        "--trace",
+        "--threads",
+        "--telemetry",
+    ];
+    const SWITCHES: &[&str] = &["--quality", "--frontier", "--help", "-h"];
+    let mut help = false;
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if VALUE_FLAGS.contains(&a) {
+            if it.next().is_none() {
+                return Err(format!("detect: `{a}` needs a value"));
+            }
+        } else if SWITCHES.contains(&a) {
+            help |= matches!(a, "--help" | "-h");
+        } else if a.starts_with('-') {
+            return Err(format!("detect: unknown flag `{a}` (try --help)"));
+        } else {
+            return Err(format!(
+                "detect: unexpected argument `{a}` after the graph path"
+            ));
+        }
+    }
+    Ok(help)
+}
+
 fn cmd_detect(args: &[String]) -> Result<(), String> {
     let start = Instant::now();
     let path = match args.first().map(String::as_str) {
@@ -656,6 +684,10 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         }
         Some(path) => path,
     };
+    if check_detect_args(&args[1..])? {
+        usage();
+        return Ok(());
+    }
     let telemetry_path = opt_value(args, "--telemetry");
     #[cfg(not(feature = "telemetry"))]
     if telemetry_path.is_some() {
@@ -695,26 +727,9 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
             "--frontier: method `{method}` has no frontier mode (use nu-lpa or nu-lpa-sim)"
         ));
     }
-    let no_buckets = args.iter().any(|a| a == "--no-buckets");
-    let bucket_thresholds = opt_value(args, "--bucket-thresholds")
-        .map(parse_bucket_thresholds)
-        .transpose()?;
-    if (no_buckets || bucket_thresholds.is_some()) && method != "nu-lpa" {
-        return Err(format!(
-            "--bucket-thresholds/--no-buckets: method `{method}` has no host fast path (use nu-lpa)"
-        ));
-    }
-    if no_buckets && bucket_thresholds.is_some() {
-        return Err("--no-buckets conflicts with --bucket-thresholds".into());
-    }
-    let mut cfg = LpaConfig::default()
+    let cfg = LpaConfig::default()
         .with_threads(threads)
         .with_frontier(frontier);
-    if no_buckets {
-        cfg = cfg.with_buckets(None);
-    } else if let Some(b) = bucket_thresholds {
-        cfg = cfg.with_buckets(Some(b));
-    }
     cfg.validate()?;
     if trace_path.is_some() && !matches!(method, "nu-lpa" | "nu-lpa-sim") {
         return Err(format!(
@@ -771,7 +786,7 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
 
     eprintln!("{} communities", community_count(&labels));
     if quality {
-        eprintln!("modularity Q = {:.4}", modularity_par(&g, &labels));
+        eprintln!("modularity Q = {:.4}", modularity(&g, &labels));
     }
     write_labels(&labels, output)?;
     // `total` runs from argument parsing to the last label written, so
@@ -882,7 +897,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     println!(
         "{} communities, Q = {:.4}; top {}:",
         sizes.len(),
-        modularity_par(&g, &labels),
+        modularity(&g, &labels),
         top.min(sizes.len())
     );
     println!(

@@ -66,20 +66,39 @@ fn detect_finds_two_communities() {
     }
 }
 
+/// `detect` checks its arguments: `--help` prints the usage, and a flag
+/// in place of the path, a retired or misspelt flag, a stray argument or
+/// a value flag without its value is an error that names it (checked
+/// before the graph is opened).
 #[test]
 fn detect_help_and_flag_in_place_of_path() {
-    for help in ["--help", "-h"] {
-        let out = Command::new(BIN).args(["detect", help]).output().unwrap();
-        assert!(out.status.success(), "{help}");
+    let path = tmp("detect-args.txt");
+    std::fs::write(&path, two_cliques_edge_list()).unwrap();
+    let p = path.to_str().unwrap();
+    for args in [
+        vec!["detect", "--help"],
+        vec!["detect", "-h"],
+        vec!["detect", p, "--threads", "2", "--frontier", "--help"],
+    ] {
+        let out = Command::new(BIN).args(&args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
     }
-    let out = Command::new(BIN)
-        .args(["detect", "--frontier", "graph.txt"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("`--frontier`"), "{stderr}");
+    for (args, needle) in [
+        (vec!["detect", "--frontier", "graph.txt"], "`--frontier`"),
+        (vec!["detect", p, "--no-buckets"], "`--no-buckets`"),
+        (
+            vec!["detect", "missing.txt", "--no-buckets"],
+            "`--no-buckets`",
+        ),
+        (vec!["detect", p, "--quality", "extra"], "`extra`"),
+        (vec!["detect", p, "--output"], "`--output`"),
+    ] {
+        let out = Command::new(BIN).args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -298,6 +317,28 @@ fn stats_quality_gate_passes_clean_and_fails_injected_regression() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("modularity"), "{err}");
     assert!(err.contains("dropped"), "{err}");
+
+    // A row for a backend `stats` no longer runs is an error that names
+    // it, not an entry the gate silently skips.
+    const ENTRIES: &str = "\"entries\":[";
+    let at = text.find(ENTRIES).expect("baseline has entries") + ENTRIES.len();
+    let stale = format!(
+        "{}{{\"graph\":\"caveman-4x8\",\"backend\":\"nu-lpa-nobuckets\",\"modularity\":0.5}},{}",
+        &text[..at],
+        &text[at..]
+    );
+    let bad = tmp("gate-baseline-stale.json");
+    std::fs::write(&bad, stale).unwrap();
+    let out = Command::new(BIN)
+        .args(["stats", "--check", bad.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        !out.status.success(),
+        "stale baseline row must fail the gate"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("nu-lpa-nobuckets"), "{err}");
 }
 
 /// `stats --json` emits one parseable object with per-run trajectories.
@@ -316,11 +357,7 @@ fn stats_json_reports_all_backends() {
     let text = String::from_utf8_lossy(&out.stdout);
     let doc = nu_lpa::obs::json::parse(text.trim()).expect("stats --json parses");
     let runs = doc.get("runs").unwrap().as_arr().unwrap();
-    assert_eq!(
-        runs.len(),
-        21,
-        "3 graphs x 7 backends (dense + frontier + no-bucket native)"
-    );
+    assert_eq!(runs.len(), 18, "3 graphs x 6 backends (dense + frontier)");
     for run in runs {
         assert!(!run.get("trajectory").unwrap().as_arr().unwrap().is_empty());
         assert!(run.get("modularity").unwrap().as_f64().is_some());

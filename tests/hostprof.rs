@@ -3,7 +3,7 @@
 //! The observability contract of `lpa_native_hostprof` has two halves.
 //! **Neutrality**: profiling must not change the algorithm — a profiled
 //! run's `LpaResult` is bit-identical to the unprofiled run's on every
-//! field, across thread counts, bucket modes, and scheduling modes
+//! field, across thread counts and scheduling modes
 //! (picks are pure functions of block-frozen labels; the profiler only
 //! changes *which thread* computes a pick and how cursors are claimed).
 //! **Integrity**: when the recorder is compiled in (`telemetry` default
@@ -44,24 +44,15 @@ fn assert_same_result(a: &LpaResult, b: &LpaResult, ctx: &str) {
 }
 
 /// Profiled ≡ unprofiled on every `LpaResult` field, across the thread
-/// ladder and both bucket modes.
+/// ladder.
 #[test]
 fn profiled_run_is_bit_identical_to_unprofiled() {
     for (name, g) in &trio() {
         for threads in [1usize, 2, 4] {
-            for buckets in [true, false] {
-                let mut cfg = LpaConfig::default().with_threads(threads);
-                if !buckets {
-                    cfg = cfg.with_buckets(None);
-                }
-                let plain = lpa_native(g, &cfg);
-                let (profiled, _) = lpa_native_hostprof(g, &cfg);
-                assert_same_result(
-                    &plain,
-                    &profiled,
-                    &format!("{name} threads={threads} buckets={buckets}"),
-                );
-            }
+            let cfg = LpaConfig::default().with_threads(threads);
+            let plain = lpa_native(g, &cfg);
+            let (profiled, _) = lpa_native_hostprof(g, &cfg);
+            assert_same_result(&plain, &profiled, &format!("{name} threads={threads}"));
         }
     }
 }
@@ -85,16 +76,6 @@ fn profiled_frontier_run_is_bit_identical() {
     }
 }
 
-/// The recorder only exists on the bucketed fast path: the legacy
-/// per-vertex path returns no profile in any build.
-#[test]
-fn no_buckets_means_no_profile() {
-    let g = caveman_weighted(4, 8, 0.5);
-    let cfg = LpaConfig::default().with_buckets(None);
-    let (_, prof) = lpa_native_hostprof(&g, &cfg);
-    assert!(prof.is_none());
-}
-
 #[cfg(feature = "telemetry")]
 mod data {
     //! Integrity of the collected data (needs the recorder compiled in,
@@ -106,7 +87,7 @@ mod data {
     fn profile(g: &Csr, threads: usize) -> HostProfData {
         let cfg = LpaConfig::default().with_threads(threads);
         let (_, prof) = lpa_native_hostprof(g, &cfg);
-        prof.expect("hostprof feature is on and buckets are the default")
+        prof.expect("the hostprof feature is on")
     }
 
     #[test]

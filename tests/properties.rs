@@ -213,17 +213,17 @@ proptest! {
 }
 
 proptest! {
-    // The thread × bucketing identity sweep runs many detections per
-    // case; keep the case count low so the suite stays fast.
+    // The thread identity sweep runs many detections per case; keep the
+    // case count low so the suite stays fast.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn native_bit_identical_across_threads_and_bucketing(g in arb_graph(50, 120)) {
+    fn native_bit_identical_across_threads(g in arb_graph(50, 120)) {
         // The speculative-pick / sequential-repair commit promises the
-        // committed trajectory of the bucketed fast path equals the
-        // sequential asynchronous sweep — so labels must be bit-identical
-        // across any thread count, with bucketing on or off, in both
-        // scheduling modes, under every swap-mitigation mode.
+        // committed trajectory of the fast path equals the sequential
+        // asynchronous sweep — so labels must be bit-identical across any
+        // thread count, in both scheduling modes, under every
+        // swap-mitigation mode.
         for mode in [
             SwapMode::Off,
             SwapMode::CrossCheck { every: 2 },
@@ -246,13 +246,6 @@ proptest! {
                         "trajectory: threads={} frontier={} {:?}", threads, frontier, mode
                     );
                 }
-                // bucketing off (legacy per-vertex hashtable path) must
-                // walk the same trajectory as the bucketed fast path
-                let legacy = lpa_native(&g, &cfg.with_threads(1).with_buckets(None));
-                prop_assert_eq!(
-                    &legacy.labels, &base.labels,
-                    "legacy vs fastpath: frontier={} {:?}", frontier, mode
-                );
             }
         }
     }
