@@ -146,9 +146,9 @@ pub(crate) struct FastState<V> {
     /// serial repair path.
     moved: Vec<u64>,
     block_stamp: u64,
-    /// Host-profiling recorders (zero-sized no-ops unless the `hostprof`
-    /// feature is on *and* the run asked for a profile): one per thread,
-    /// parallel to `scratch`, plus the run-level repair ledger.
+    /// Host-profiling recorders (inert unless the run asked for a
+    /// profile): one per thread, parallel to `scratch`, plus the
+    /// run-level repair ledger.
     prof: Vec<ThreadProf>,
     runprof: RunProf,
 }
@@ -186,7 +186,7 @@ impl<V: HashValue> FastState<V> {
     }
 
     /// Hand over the recorded host profile (`None` when profiling was
-    /// off or compiled out). Call once, after the last iteration.
+    /// off). Call once, after the last iteration.
     pub(crate) fn take_profile(&mut self) -> Option<HostProfData> {
         self.runprof.collect(&mut self.prof)
     }

@@ -63,8 +63,9 @@ pub fn lpa_native_observed(
 /// the degree-bucketed fast path (see [`crate::hostprof`]).
 ///
 /// The profiled run is bit-identical to [`lpa_native`] — the recorder
-/// only observes which thread did what, never what was computed. Returns
-/// `None` profile data when the `hostprof` cargo feature is compiled out.
+/// only observes which thread did what, never what was computed. The
+/// profile is always `Some`; the `Option` is kept for callers that
+/// already unwrap it.
 pub fn lpa_native_hostprof(g: &Csr, config: &LpaConfig) -> (LpaResult, Option<HostProfData>) {
     config.validate().expect("invalid LPA config");
     let init = (0..g.num_vertices() as VertexId).collect();

@@ -7,6 +7,10 @@ use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use std::io::{BufRead, Write};
 
+/// The most header-declared entries pre-allocated ahead of the lines that
+/// fill them.
+const PREALLOC: usize = 1 << 20;
+
 /// Read a MatrixMarket file into a symmetrized graph. `general` matrices
 /// get reverse edges added (the paper's preprocessing for directed webs);
 /// `symmetric` matrices store each off-diagonal entry once and we expand
@@ -65,12 +69,20 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     if rows != cols {
         return Err(parse_err(szno, "adjacency matrix must be square"));
     }
+    if rows >= u32::MAX as usize {
+        return Err(parse_err(
+            szno,
+            format!("{rows} rows do not fit in 32-bit vertex ids"),
+        ));
+    }
 
     // KeepFirst: a `general` file that already stores both (u,v) and (v,u)
     // must not see its weights doubled by our unconditional symmetrization.
+    // The declared nnz is untrusted: a lying count ends in the entry-count
+    // error below, not in a huge up-front allocation.
     let mut b = GraphBuilder::new(rows)
         .duplicate_policy(crate::builder::DuplicatePolicy::KeepFirst)
-        .reserve(nnz * 2);
+        .reserve(nnz.min(PREALLOC) * 2);
     let mut seen = 0usize;
     for (i, l) in lines {
         let l = l?;
@@ -202,6 +214,29 @@ mod tests {
     fn rejects_wrong_nnz() {
         let txt = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.0\n";
         assert!(read_matrix_market(Cursor::new(txt)).is_err());
+    }
+
+    #[test]
+    fn rejects_rows_beyond_vertex_id_range() {
+        for rows in [u32::MAX as u64, u64::MAX] {
+            let txt = format!("%%MatrixMarket matrix coordinate real general\n{rows} {rows} 0\n");
+            let err = read_matrix_market(Cursor::new(txt)).unwrap_err();
+            assert!(err.to_string().contains("32-bit vertex ids"), "{err}");
+        }
+    }
+
+    #[test]
+    fn lying_nnz_is_an_entry_count_error() {
+        let txt = format!(
+            "%%MatrixMarket matrix coordinate real general\n2 2 {}\n1 2 1.0\n",
+            usize::MAX
+        );
+        let err = read_matrix_market(Cursor::new(txt)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("expected {} entries, found 1", usize::MAX)),
+            "{err}"
+        );
     }
 
     #[test]

@@ -33,7 +33,6 @@
 use crate::layout::{EMPTY_KEY, MAX_RETRIES};
 use crate::probe::{ProbeSeq, ProbeStrategy};
 use crate::value::HashValue;
-#[cfg(feature = "sancheck")]
 use nulpa_sancheck::hooks;
 use nulpa_simt::{CostModel, LaneMeter, Width};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -139,7 +138,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
 
     /// Shadow-memory identity of this table: the address of its key
     /// region (tables are carved from disjoint buffer ranges).
-    #[cfg(feature = "sancheck")]
     #[inline]
     fn tid(&self) -> usize {
         self.keys.as_ptr() as usize
@@ -147,7 +145,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
 
     /// Reset every slot to empty (paper's `hashtableClear`).
     pub fn clear(&mut self) {
-        #[cfg(feature = "sancheck")]
         hooks::table_clear(self.tid());
         self.keys.fill(EMPTY_KEY);
         self.values.fill(V::zero());
@@ -162,7 +159,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
         }
         let mut seq = ProbeSeq::new(strategy, key, p1, self.p2);
         let retries = probe_budget(p1);
-        #[cfg(feature = "sancheck")]
         hooks::probe_start(self.tid(), p1, (retries + p1 as u32) as u64);
         let mut probes = 0u32;
         let mut last = 0usize;
@@ -170,16 +166,12 @@ impl<'a, V: HashValue> TableMut<'a, V> {
             let s = seq.slot();
             last = s;
             probes += 1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             let k = self.keys[s];
             if k == key {
                 self.values[s] = self.values[s].add(weight);
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -189,11 +181,8 @@ impl<'a, V: HashValue> TableMut<'a, V> {
             if k == EMPTY_KEY {
                 self.keys[s] = key;
                 self.values[s] = weight;
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -206,16 +195,12 @@ impl<'a, V: HashValue> TableMut<'a, V> {
         // capacity ≥ #distinct keys.
         for off in 1..=p1 {
             let s = (last + off) % p1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             let k = self.keys[s];
             if k == key {
                 self.values[s] = self.values[s].add(weight);
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -225,11 +210,8 @@ impl<'a, V: HashValue> TableMut<'a, V> {
             if k == EMPTY_KEY {
                 self.keys[s] = key;
                 self.values[s] = weight;
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -237,7 +219,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
                 };
             }
         }
-        #[cfg(feature = "sancheck")]
         hooks::probe_end(self.tid());
         Accumulate::Failed
     }
@@ -277,7 +258,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
         }
         let mut seq = ProbeSeq::new(strategy, key, p1, self.p2);
         let retries = probe_budget(p1);
-        #[cfg(feature = "sancheck")]
         hooks::probe_start(self.tid(), p1, (retries + p1 as u32) as u64);
         let mut probes = 0u32;
         let mut last = 0usize;
@@ -285,7 +265,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
             let s = seq.slot();
             last = s;
             probes += 1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             meter.probe();
             meter.alu(cost, 2); // slot computation + compare
@@ -302,11 +281,8 @@ impl<'a, V: HashValue> TableMut<'a, V> {
                 }
                 charge_table_access(meter, cost, &addr, addr.values + s, V::WIDTH, true);
                 meter.probe_done(probes as u64);
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -317,7 +293,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
         }
         for off in 1..=p1 {
             let s = (last + off) % p1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             meter.probe();
             charge_table_access(meter, cost, &addr, addr.keys + s, Width::W32, false);
@@ -333,11 +308,8 @@ impl<'a, V: HashValue> TableMut<'a, V> {
                 }
                 charge_table_access(meter, cost, &addr, addr.values + s, V::WIDTH, true);
                 meter.probe_done(probes as u64 + off as u64);
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -345,7 +317,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
                 };
             }
         }
-        #[cfg(feature = "sancheck")]
         hooks::probe_end(self.tid());
         Accumulate::Failed
     }
@@ -387,7 +358,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
         }
         let mut seq = ProbeSeq::new(strategy, key, p1, self.p2);
         let retries = probe_budget(p1);
-        #[cfg(feature = "sancheck")]
         hooks::probe_start(self.tid(), p1, (retries + p1 as u32) as u64);
         let mut probes = 0u32;
         let mut last = 0usize;
@@ -395,7 +365,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
             let s = seq.slot();
             last = s;
             probes += 1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             meter.probe();
             meter.alu(cost, 2);
@@ -411,11 +380,8 @@ impl<'a, V: HashValue> TableMut<'a, V> {
                 meter.atomic(cost, addr.keys + s, Width::W32); // atomicCAS
                 meter.atomic(cost, addr.values + s, V::WIDTH); // atomicAdd
                 meter.probe_done(probes as u64);
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -426,7 +392,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
         }
         for off in 1..=p1 {
             let s = (last + off) % p1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             meter.probe();
             meter.global_read(cost, addr.keys + s, Width::W32);
@@ -441,11 +406,8 @@ impl<'a, V: HashValue> TableMut<'a, V> {
                 meter.atomic(cost, addr.keys + s, Width::W32);
                 meter.atomic(cost, addr.values + s, V::WIDTH);
                 meter.probe_done(probes as u64 + off as u64);
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -453,7 +415,6 @@ impl<'a, V: HashValue> TableMut<'a, V> {
                 };
             }
         }
-        #[cfg(feature = "sancheck")]
         hooks::probe_end(self.tid());
         Accumulate::Failed
     }
@@ -496,7 +457,6 @@ impl<'a, V: HashValue> TableShared<'a, V> {
     }
 
     /// Shadow-memory identity of this table (see [`TableMut`]).
-    #[cfg(feature = "sancheck")]
     #[inline]
     fn tid(&self) -> usize {
         self.keys.as_ptr() as usize
@@ -504,7 +464,6 @@ impl<'a, V: HashValue> TableShared<'a, V> {
 
     /// Clear one slot (used by the block kernel's strided parallel clear).
     pub fn clear_slot(&self, s: usize) {
-        #[cfg(feature = "sancheck")]
         hooks::table_clear_slot(self.tid(), s);
         self.keys[s].store(EMPTY_KEY, Ordering::Relaxed);
         V::atomic_store(&self.values[s], V::zero());
@@ -527,7 +486,6 @@ impl<'a, V: HashValue> TableShared<'a, V> {
         }
         let mut seq = ProbeSeq::new(strategy, key, p1, self.p2);
         let retries = probe_budget(p1);
-        #[cfg(feature = "sancheck")]
         hooks::probe_start(self.tid(), p1, (retries + p1 as u32) as u64);
         let mut probes = 0u32;
         let mut last = 0usize;
@@ -535,14 +493,10 @@ impl<'a, V: HashValue> TableShared<'a, V> {
             let s = seq.slot();
             last = s;
             probes += 1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             if self.try_slot(s, key, weight) {
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -553,14 +507,10 @@ impl<'a, V: HashValue> TableShared<'a, V> {
         }
         for off in 1..=p1 {
             let s = (last + off) % p1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             if self.try_slot(s, key, weight) {
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -568,7 +518,6 @@ impl<'a, V: HashValue> TableShared<'a, V> {
                 };
             }
         }
-        #[cfg(feature = "sancheck")]
         hooks::probe_end(self.tid());
         Accumulate::Failed
     }
@@ -605,7 +554,6 @@ impl<'a, V: HashValue> TableShared<'a, V> {
         }
         let mut seq = ProbeSeq::new(strategy, key, p1, self.p2);
         let retries = probe_budget(p1);
-        #[cfg(feature = "sancheck")]
         hooks::probe_start(self.tid(), p1, (retries + p1 as u32) as u64);
         let mut probes = 0u32;
         let mut last = 0usize;
@@ -613,7 +561,6 @@ impl<'a, V: HashValue> TableShared<'a, V> {
             let s = seq.slot();
             last = s;
             probes += 1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             meter.probe();
             meter.alu(cost, 2);
@@ -624,11 +571,8 @@ impl<'a, V: HashValue> TableShared<'a, V> {
                 if self.try_slot(s, key, weight) {
                     meter.atomic(cost, addr.values + s, V::WIDTH); // atomicAdd
                     meter.probe_done(probes as u64);
-                    #[cfg(feature = "sancheck")]
-                    {
-                        hooks::claim(self.tid(), key, s);
-                        hooks::probe_end(self.tid());
-                    }
+                    hooks::claim(self.tid(), key, s);
+                    hooks::probe_end(self.tid());
                     return Accumulate::Done {
                         slot: s,
                         probes,
@@ -640,7 +584,6 @@ impl<'a, V: HashValue> TableShared<'a, V> {
         }
         for off in 1..=p1 {
             let s = (last + off) % p1;
-            #[cfg(feature = "sancheck")]
             hooks::probe_slot(self.tid(), s);
             meter.probe();
             meter.global_read(cost, addr.keys + s, Width::W32);
@@ -649,11 +592,8 @@ impl<'a, V: HashValue> TableShared<'a, V> {
                 meter.atomic(cost, addr.keys + s, Width::W32);
                 meter.atomic(cost, addr.values + s, V::WIDTH);
                 meter.probe_done(probes as u64 + off as u64);
-                #[cfg(feature = "sancheck")]
-                {
-                    hooks::claim(self.tid(), key, s);
-                    hooks::probe_end(self.tid());
-                }
+                hooks::claim(self.tid(), key, s);
+                hooks::probe_end(self.tid());
                 return Accumulate::Done {
                     slot: s,
                     probes,
@@ -661,7 +601,6 @@ impl<'a, V: HashValue> TableShared<'a, V> {
                 };
             }
         }
-        #[cfg(feature = "sancheck")]
         hooks::probe_end(self.tid());
         Accumulate::Failed
     }

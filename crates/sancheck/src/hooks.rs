@@ -1,8 +1,8 @@
 //! Process-global instrumentation hooks.
 //!
 //! Instrumented code in `nulpa-simt` and `nulpa-hashtab` calls these free
-//! functions (compiled in behind their `sancheck` cargo feature). Each
-//! hook starts with a single relaxed load of the global enabled flag, so
+//! functions unconditionally; every build compiles them in. Each hook
+//! starts with a single relaxed load of the global enabled flag, so
 //! an uninstalled checker costs one predictable branch per call site; the
 //! checker itself lives behind a mutex because hooks fire from every host
 //! thread of the simulator's sharded wave execution.

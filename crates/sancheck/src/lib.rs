@@ -8,13 +8,13 @@
 //! Cross-Check revert pass, "each vertex is written by exactly one thread
 //! per iteration") rests on memory-visibility invariants the simulator
 //! *models* but, on its own, never *checks*. This crate checks them at
-//! runtime: instrumented code in `nulpa-simt` and `nulpa-hashtab` (behind
-//! their `sancheck` cargo feature) reports every deferred-store access,
-//! barrier, atomic, and hashtable probe to a process-global [`Checker`],
-//! which keeps **shadow state** per memory cell — the last writer's
-//! (wave, warp, lane), the access kind (staged / write-through / atomic),
-//! and init status — and records a [`Hazard`] whenever an invariant is
-//! violated.
+//! runtime: instrumented code in `nulpa-simt` and `nulpa-hashtab` reports
+//! every deferred-store access, barrier, atomic, and hashtable probe to a
+//! process-global [`Checker`] once one is installed (the tool is attached
+//! at run time, like `compute-sanitizer`). The checker keeps **shadow
+//! state** per memory cell — the last writer's (wave, warp, lane), the
+//! access kind (staged / write-through / atomic), and init status — and
+//! records a [`Hazard`] whenever an invariant is violated.
 //!
 //! ## Hazard taxonomy
 //!

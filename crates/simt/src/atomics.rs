@@ -12,7 +12,6 @@
 //! ch. 2–3, for why relaxed RMWs still form a single modification order
 //! per cell, which is all weight accumulation requires).
 
-#[cfg(feature = "sancheck")]
 use nulpa_sancheck::hooks;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -35,7 +34,6 @@ impl AtomicF32 {
     /// Atomic store.
     #[inline]
     pub fn store(&self, v: f32) {
-        #[cfg(feature = "sancheck")]
         hooks::atomic_access(std::ptr::from_ref(self) as usize);
         self.0.store(v.to_bits(), Ordering::Relaxed)
     }
@@ -43,7 +41,6 @@ impl AtomicF32 {
     /// Atomic `fetch_add` via CAS loop; returns the previous value.
     #[inline]
     pub fn fetch_add(&self, v: f32) -> f32 {
-        #[cfg(feature = "sancheck")]
         hooks::atomic_access(std::ptr::from_ref(self) as usize);
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {
@@ -78,7 +75,6 @@ impl AtomicF64 {
     /// Atomic store.
     #[inline]
     pub fn store(&self, v: f64) {
-        #[cfg(feature = "sancheck")]
         hooks::atomic_access(std::ptr::from_ref(self) as usize);
         self.0.store(v.to_bits(), Ordering::Relaxed)
     }
@@ -86,7 +82,6 @@ impl AtomicF64 {
     /// Atomic `fetch_add` via CAS loop; returns the previous value.
     #[inline]
     pub fn fetch_add(&self, v: f64) -> f64 {
-        #[cfg(feature = "sancheck")]
         hooks::atomic_access(std::ptr::from_ref(self) as usize);
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {

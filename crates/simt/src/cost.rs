@@ -81,9 +81,9 @@ impl Width {
 use nulpa_obs::Hist;
 
 /// Cycle-attribution component: where a charged cycle went. Every cycle a
-/// [`LaneMeter`] charges belongs to exactly one component, so (with the
-/// `prof` feature) the per-component totals partition `LaneMeter::cycles`
-/// — the conservation law the profiler's tables rest on.
+/// [`LaneMeter`] charges belongs to exactly one component, so the
+/// per-component totals partition `LaneMeter::cycles` — the conservation
+/// law the profiler's tables rest on.
 ///
 /// Memory charges made inside a hash-probe sequence (between
 /// [`LaneMeter::probe_scope`]`(true)` and `(false)`) are attributed to the
@@ -210,16 +210,13 @@ pub struct LaneMeter {
     /// between two buffers — e.g. `H_k`/`H_v` — look uncached).
     recent_lines: [usize; 4],
     recent_len: u8,
-    /// Per-component attribution of `cycles` (profiling builds only).
-    #[cfg(feature = "prof")]
+    /// Per-component attribution of `cycles`.
     pub comp: CompCycles,
     /// Whether the lane is currently inside a probe sequence (see
     /// [`LaneMeter::probe_scope`]).
-    #[cfg(feature = "prof")]
     in_probe: bool,
     /// Whether the lane is currently inside the frontier-compaction
     /// kernel (see [`LaneMeter::compact_scope`]).
-    #[cfg(feature = "prof")]
     in_compact: bool,
 }
 
@@ -229,74 +226,52 @@ impl LaneMeter {
         Self::default()
     }
 
-    /// Attribute `cycles` to `comp`; compiles away without `prof`.
-    /// Inside a compact scope every charge belongs to
-    /// [`Comp::FrontierCompact`] instead.
+    /// Attribute `cycles` to `comp`. Inside a compact scope every charge
+    /// belongs to [`Comp::FrontierCompact`] instead.
     #[inline]
     pub(crate) fn tag(&mut self, comp: Comp, cycles: u64) {
-        #[cfg(feature = "prof")]
-        {
-            let comp = if self.in_compact {
-                Comp::FrontierCompact
-            } else {
-                comp
-            };
-            self.comp.add(comp, cycles);
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = (comp, cycles);
+        let comp = if self.in_compact {
+            Comp::FrontierCompact
+        } else {
+            comp
+        };
+        self.comp.add(comp, cycles);
     }
 
     /// Attribute a plain memory charge, picking the near/far and
     /// global/probe component from the hit flag and the probe scope.
     #[inline]
     fn tag_mem(&mut self, near: bool, cycles: u64) {
-        #[cfg(feature = "prof")]
-        {
-            let comp = if self.in_compact {
-                Comp::FrontierCompact
-            } else {
-                match (self.in_probe, near) {
-                    (false, true) => Comp::GlobalNear,
-                    (false, false) => Comp::GlobalFar,
-                    (true, true) => Comp::ProbeNear,
-                    (true, false) => Comp::ProbeFar,
-                }
-            };
-            self.comp.add(comp, cycles);
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = (near, cycles);
+        let comp = if self.in_compact {
+            Comp::FrontierCompact
+        } else {
+            match (self.in_probe, near) {
+                (false, true) => Comp::GlobalNear,
+                (false, false) => Comp::GlobalFar,
+                (true, true) => Comp::ProbeNear,
+                (true, false) => Comp::ProbeFar,
+            }
+        };
+        self.comp.add(comp, cycles);
     }
 
     /// Mark the start (`true`) / end (`false`) of a hash-probe sequence.
     /// While set, plain global charges are attributed to
     /// [`Comp::ProbeNear`]/[`Comp::ProbeFar`] instead of the global
-    /// components. Called by the hashtable layer around its probe loops;
-    /// a no-op (and cost-free) without the `prof` feature.
+    /// components. Called by the hashtable layer around its probe loops.
     #[inline]
     pub fn probe_scope(&mut self, on: bool) {
-        #[cfg(feature = "prof")]
-        {
-            self.in_probe = on;
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = on;
+        self.in_probe = on;
     }
 
     /// Mark the start (`true`) / end (`false`) of the frontier-compaction
     /// kernel. While set, *every* charge (memory, ALU, atomic, shared,
     /// barrier) is attributed to [`Comp::FrontierCompact`], so the cost of
     /// building the sparse active set is a separate line in the profiler's
-    /// tables. A no-op (and cost-free) without the `prof` feature.
+    /// tables.
     #[inline]
     pub fn compact_scope(&mut self, on: bool) {
-        #[cfg(feature = "prof")]
-        {
-            self.in_compact = on;
-        }
-        #[cfg(not(feature = "prof"))]
-        let _ = on;
+        self.in_compact = on;
     }
 
     /// Charge `n` ALU operations.
@@ -400,7 +375,6 @@ impl LaneMeter {
         self.atomics += other.atomics;
         self.global_reads += other.global_reads;
         self.global_writes += other.global_writes;
-        #[cfg(feature = "prof")]
         self.comp.merge(&other.comp);
     }
 }
@@ -506,7 +480,6 @@ mod tests {
         assert_eq!(m.cycles, c.global_far + 2 * c.global_near);
     }
 
-    #[cfg(feature = "prof")]
     mod prof {
         use super::*;
 

@@ -11,12 +11,11 @@
 //! A cell may be staged at most once per wave in ν-LPA (each vertex is
 //! written by exactly one thread per iteration); the store nevertheless
 //! defines last-stage-wins semantics and exposes the collision count for
-//! assertion in tests. With the `sancheck` feature, every access is also
-//! reported to the [`nulpa_sancheck`] hazard checker, which turns the
+//! assertion in tests. Every access is also reported to the
+//! [`nulpa_sancheck`] hazard checker, which (once installed) turns the
 //! one-writer-per-wave rule (and init-before-read) into a checked
 //! invariant.
 
-#[cfg(feature = "sancheck")]
 use nulpa_sancheck::hooks;
 
 /// A `Vec<T>`-backed memory with deferred (wave-buffered) writes.
@@ -43,11 +42,10 @@ impl<T: Copy + PartialEq> DeferredStore<T> {
 
     /// Wrap backing memory whose contents are *not* considered
     /// initialised — `cudaMalloc` without a memset. Functionally
-    /// identical to [`Self::new`]; under the `sancheck` feature the
-    /// checker flags any read of a cell before a write to it commits.
+    /// identical to [`Self::new`]; an installed `sancheck` checker flags
+    /// any read of a cell before a write to it commits.
     pub fn new_uninit(backing: Vec<T>) -> Self {
         let s = Self::new(backing);
-        #[cfg(feature = "sancheck")]
         hooks::mark_uninit(
             s.data.as_ptr() as usize,
             std::mem::size_of::<T>(),
@@ -57,7 +55,6 @@ impl<T: Copy + PartialEq> DeferredStore<T> {
     }
 
     /// Host byte address of cell `i` — the shadow-memory key.
-    #[cfg(feature = "sancheck")]
     #[inline]
     fn addr_of(&self, i: usize) -> usize {
         self.data.as_ptr() as usize + i * std::mem::size_of::<T>()
@@ -76,7 +73,6 @@ impl<T: Copy + PartialEq> DeferredStore<T> {
     /// Committed (wave-start) value of cell `i`.
     #[inline]
     pub fn get(&self, i: usize) -> T {
-        #[cfg(feature = "sancheck")]
         hooks::ds_read(self.addr_of(i));
         self.data[i]
     }
@@ -88,14 +84,12 @@ impl<T: Copy + PartialEq> DeferredStore<T> {
     #[inline]
     pub fn stage(&mut self, i: usize, v: T) {
         if i >= self.data.len() {
-            #[cfg(feature = "sancheck")]
             hooks::ds_oob(i, self.data.len());
             panic!(
                 "DeferredStore::stage: cell index {i} out of bounds for store of {} cells",
                 self.data.len()
             );
         }
-        #[cfg(feature = "sancheck")]
         hooks::ds_stage(self.addr_of(i));
         self.pending.push((i, v));
     }
@@ -119,7 +113,6 @@ impl<T: Copy + PartialEq> DeferredStore<T> {
         self.scratch.extend(self.pending.iter().map(|&(i, _)| i));
         self.scratch.sort_unstable();
         self.staged_collisions += self.scratch.windows(2).filter(|w| w[0] == w[1]).count() as u64;
-        #[cfg(feature = "sancheck")]
         if hooks::is_active() {
             for &(i, _) in &self.pending {
                 hooks::ds_flush_commit(self.addr_of(i));
@@ -135,7 +128,6 @@ impl<T: Copy + PartialEq> DeferredStore<T> {
     /// revert pass, whose atomic reverts take effect at once).
     #[inline]
     pub fn write_through(&mut self, i: usize, v: T) {
-        #[cfg(feature = "sancheck")]
         hooks::ds_write_through(self.addr_of(i));
         self.data[i] = v;
     }
@@ -146,7 +138,6 @@ impl<T: Copy + PartialEq> DeferredStore<T> {
     /// wave boundary; the checker tracks it as an atomic access.
     #[inline]
     pub fn atomic_exchange(&mut self, i: usize, v: T) -> T {
-        #[cfg(feature = "sancheck")]
         hooks::atomic_access(self.addr_of(i));
         let old = self.data[i];
         self.data[i] = v;
@@ -203,7 +194,6 @@ impl SyncDeferredStore {
     }
 
     /// Host byte address of cell `i` — the shadow-memory key.
-    #[cfg(feature = "sancheck")]
     #[inline]
     fn addr_of(&self, i: usize) -> usize {
         self.data.as_ptr() as usize + i * std::mem::size_of::<AtomicU32>()
@@ -222,7 +212,6 @@ impl SyncDeferredStore {
     /// Committed (wave-start) value of cell `i`.
     #[inline]
     pub fn get(&self, i: usize) -> u32 {
-        #[cfg(feature = "sancheck")]
         hooks::ds_read(self.addr_of(i));
         self.data[i].load(Ordering::Relaxed)
     }
@@ -233,14 +222,12 @@ impl SyncDeferredStore {
     #[inline]
     pub fn stage(&self, pending: &mut StagedWrites, i: usize, v: u32) {
         if i >= self.data.len() {
-            #[cfg(feature = "sancheck")]
             hooks::ds_oob(i, self.data.len());
             panic!(
                 "DeferredStore::stage: cell index {i} out of bounds for store of {} cells",
                 self.data.len()
             );
         }
-        #[cfg(feature = "sancheck")]
         hooks::ds_stage(self.addr_of(i));
         pending.push((i, v));
     }
@@ -268,7 +255,6 @@ impl SyncDeferredStore {
         scratch.sort_unstable();
         let dups = scratch.windows(2).filter(|w| w[0] == w[1]).count() as u64;
         self.staged_collisions.fetch_add(dups, Ordering::Relaxed);
-        #[cfg(feature = "sancheck")]
         if hooks::is_active() {
             for s in shards.iter_mut() {
                 for &(i, _) in pending_of(s).iter() {
@@ -287,7 +273,6 @@ impl SyncDeferredStore {
     /// [`DeferredStore::write_through`]).
     #[inline]
     pub fn write_through(&self, i: usize, v: u32) {
-        #[cfg(feature = "sancheck")]
         hooks::ds_write_through(self.addr_of(i));
         self.data[i].store(v, Ordering::Relaxed);
     }
@@ -297,7 +282,6 @@ impl SyncDeferredStore {
     /// [`DeferredStore::atomic_exchange`]).
     #[inline]
     pub fn atomic_exchange(&self, i: usize, v: u32) -> u32 {
-        #[cfg(feature = "sancheck")]
         hooks::atomic_access(self.addr_of(i));
         self.data[i].swap(v, Ordering::Relaxed)
     }

@@ -1,6 +1,5 @@
 //! Aggregated kernel statistics.
 
-#[cfg(feature = "prof")]
 use crate::cost::CompCycles;
 use crate::cost::LaneMeter;
 use nulpa_obs::Hist;
@@ -53,7 +52,6 @@ pub struct KernelStats {
     /// Per-component attribution of `lane_cycles` (profiling builds):
     /// tagged at charge time by [`LaneMeter`], so `comp.total()` equals
     /// `lane_cycles` exactly — the profiler's conservation law.
-    #[cfg(feature = "prof")]
     pub comp: CompCycles,
 }
 
@@ -79,7 +77,6 @@ impl KernelStats {
         self.warp_cost_hist.merge(&other.warp_cost_hist);
         self.imbalance_cycles += other.imbalance_cycles;
         self.stall_cycles += other.stall_cycles;
-        #[cfg(feature = "prof")]
         self.comp.merge(&other.comp);
     }
 
@@ -96,7 +93,6 @@ impl KernelStats {
             self.global_reads += l.global_reads;
             self.global_writes += l.global_writes;
             self.threads += 1;
-            #[cfg(feature = "prof")]
             self.comp.merge(&l.comp);
         }
         if !lanes.is_empty() {

@@ -14,46 +14,11 @@
 //! `AtomicU32`/[`crate::atomics::AtomicF32`] cells are immediate, as on
 //! hardware.
 
-use crate::cost::{CostModel, LaneMeter};
+use crate::cost::{Comp, CostModel, LaneMeter};
 use crate::device::DeviceConfig;
 use crate::stats::KernelStats;
 use nulpa_obs::{track, NullSink, TraceSink, Value};
-#[cfg(feature = "sancheck")]
 use nulpa_sancheck::hooks;
-
-/// `true` while a sancheck checker is installed (sharded launches fall
-/// back to serial execution so hook order stays deterministic).
-#[inline]
-fn checker_active() -> bool {
-    #[cfg(feature = "sancheck")]
-    {
-        hooks::is_active()
-    }
-    #[cfg(not(feature = "sancheck"))]
-    {
-        false
-    }
-}
-
-/// Report a lane's (warp, lane) context to the hazard checker; no-op
-/// without the `sancheck` feature.
-#[inline]
-fn hook_lane_ctx(lane_idx: usize, warp: usize) {
-    #[cfg(feature = "sancheck")]
-    hooks::lane_ctx((lane_idx / warp) as u32, (lane_idx % warp) as u32);
-    #[cfg(not(feature = "sancheck"))]
-    let _ = (lane_idx, warp);
-}
-
-/// Report a block's index to the hazard checker; no-op without the
-/// `sancheck` feature.
-#[inline]
-fn hook_block_ctx(block_idx: usize) {
-    #[cfg(feature = "sancheck")]
-    hooks::block_ctx(block_idx as u32);
-    #[cfg(not(feature = "sancheck"))]
-    let _ = block_idx;
-}
 
 /// Run `work` over contiguous `chunk_len`-sized chunks of `items`, one
 /// scoped host thread per chunk, and return the results in chunk order.
@@ -171,15 +136,13 @@ impl WaveScheduler {
                 ],
             );
         }
-        #[cfg(feature = "sancheck")]
         hooks::kernel_begin(name);
         for (w, wave_items) in items.chunks(wave_cap).enumerate() {
             let before = WaveSnapshot::of(&stats);
-            #[cfg(feature = "sancheck")]
             hooks::wave_begin(w as u64);
             let mut meters: Vec<LaneMeter> = Vec::with_capacity(wave_items.len());
             for (i, &it) in wave_items.iter().enumerate() {
-                hook_lane_ctx(i, warp);
+                hooks::lane_ctx((i / warp) as u32, (i % warp) as u32);
                 let mut m = LaneMeter::new();
                 kernel(it, &mut m);
                 meters.push(m);
@@ -208,10 +171,8 @@ impl WaveScheduler {
             wave_end(w as u64);
             // The epoch advances after the user's wave_end callback so that
             // DeferredStore::flush commits land in the wave they belong to.
-            #[cfg(feature = "sancheck")]
             hooks::wave_end();
         }
-        #[cfg(feature = "sancheck")]
         hooks::kernel_end();
         self.finish_kernel_span(sink, name, t0, &stats);
         stats
@@ -258,16 +219,14 @@ impl WaveScheduler {
                 ],
             );
         }
-        #[cfg(feature = "sancheck")]
         hooks::kernel_begin(name);
         for (w, wave_items) in items.chunks(wave_cap).enumerate() {
             let before = WaveSnapshot::of(&stats);
-            #[cfg(feature = "sancheck")]
             hooks::wave_begin(w as u64);
             let mut critical = 0u64;
             let mut warp_total = 0u64;
             for (b, &it) in wave_items.iter().enumerate() {
-                hook_block_ctx(b);
+                hooks::block_ctx(b as u32);
                 let mut ctx = BlockCtx::new(self.device.block_size, warp, &self.cost);
                 kernel(it, &mut ctx);
                 // Lanes that never executed a metered op did no work in
@@ -298,10 +257,8 @@ impl WaveScheduler {
                 &stats,
             );
             wave_end(w as u64);
-            #[cfg(feature = "sancheck")]
             hooks::wave_end();
         }
-        #[cfg(feature = "sancheck")]
         hooks::kernel_end();
         self.finish_kernel_span(sink, name, t0, &stats);
         stats
@@ -359,12 +316,12 @@ impl WaveScheduler {
                 ],
             );
         }
-        #[cfg(feature = "sancheck")]
         hooks::kernel_begin(name);
-        let serial = self.threads <= 1 || checker_active();
+        // An installed checker forces serial lanes so hook order stays
+        // deterministic.
+        let serial = self.threads <= 1 || hooks::is_active();
         for (w, wave_items) in items.chunks(wave_cap).enumerate() {
             let before = WaveSnapshot::of(&stats);
-            #[cfg(feature = "sancheck")]
             hooks::wave_begin(w as u64);
             let (meters, mut shards) = if serial {
                 self.run_lanes_serial(wave_items, &make_shard, &kernel)
@@ -393,10 +350,8 @@ impl WaveScheduler {
                 &stats,
             );
             wave_end(w as u64, &mut shards);
-            #[cfg(feature = "sancheck")]
             hooks::wave_end();
         }
-        #[cfg(feature = "sancheck")]
         hooks::kernel_end();
         self.finish_kernel_span(sink, name, t0, &stats);
         stats
@@ -438,12 +393,10 @@ impl WaveScheduler {
                 ],
             );
         }
-        #[cfg(feature = "sancheck")]
         hooks::kernel_begin(name);
-        let serial = self.threads <= 1 || checker_active();
+        let serial = self.threads <= 1 || hooks::is_active();
         for (w, wave_items) in items.chunks(wave_cap).enumerate() {
             let before = WaveSnapshot::of(&stats);
-            #[cfg(feature = "sancheck")]
             hooks::wave_begin(w as u64);
             let (blocks, mut shards) = if serial {
                 self.run_blocks_serial(wave_items, &make_shard, &kernel)
@@ -476,10 +429,8 @@ impl WaveScheduler {
                 &stats,
             );
             wave_end(w as u64, &mut shards);
-            #[cfg(feature = "sancheck")]
             hooks::wave_end();
         }
-        #[cfg(feature = "sancheck")]
         hooks::kernel_end();
         self.finish_kernel_span(sink, name, t0, &stats);
         stats
@@ -498,10 +449,11 @@ impl WaveScheduler {
         M: Fn() -> S,
         F: Fn(T, &mut LaneMeter, &mut S),
     {
+        let warp = self.device.warp_size;
         let mut shard = make_shard();
         let mut meters = Vec::with_capacity(wave_items.len());
         for (i, &it) in wave_items.iter().enumerate() {
-            hook_lane_ctx(i, self.device.warp_size);
+            hooks::lane_ctx((i / warp) as u32, (i % warp) as u32);
             let mut m = LaneMeter::new();
             kernel(it, &mut m, &mut shard);
             meters.push(m);
@@ -566,7 +518,7 @@ impl WaveScheduler {
         let mut shard = make_shard();
         let mut blocks = Vec::with_capacity(wave_items.len());
         for (b, &it) in wave_items.iter().enumerate() {
-            hook_block_ctx(b);
+            hooks::block_ctx(b as u32);
             let mut ctx = BlockCtx::new(self.device.block_size, self.device.warp_size, &self.cost);
             kernel(it, &mut ctx, &mut shard);
             ctx.zero_untouched();
@@ -649,34 +601,30 @@ impl WaveScheduler {
         if !stats.warp_cost_hist.is_empty() {
             sink.histogram("warp_cost", &stats.warp_cost_hist);
         }
-        #[cfg(feature = "prof")]
-        {
-            use crate::cost::Comp;
-            let c = &stats.comp;
-            sink.metrics(
-                "kernel",
-                t0 + stats.sim_cycles,
-                &[
-                    ("sim_cycles", stats.sim_cycles),
-                    ("lane_cycles", stats.lane_cycles),
-                    ("idle_cycles", stats.idle_cycles),
-                    ("imbalance_cycles", stats.imbalance_cycles),
-                    ("stall_cycles", stats.stall_cycles),
-                    ("waves", stats.waves),
-                    ("threads", stats.threads),
-                    ("probes", stats.probes),
-                    ("alu", c.get(Comp::Alu)),
-                    ("global_near", c.get(Comp::GlobalNear)),
-                    ("global_far", c.get(Comp::GlobalFar)),
-                    ("atomic", c.get(Comp::Atomic)),
-                    ("probe_near", c.get(Comp::ProbeNear)),
-                    ("probe_far", c.get(Comp::ProbeFar)),
-                    ("shared", c.get(Comp::Shared)),
-                    ("barrier", c.get(Comp::Barrier)),
-                    ("frontier_compact", c.get(Comp::FrontierCompact)),
-                ],
-            );
-        }
+        let c = &stats.comp;
+        sink.metrics(
+            "kernel",
+            t0 + stats.sim_cycles,
+            &[
+                ("sim_cycles", stats.sim_cycles),
+                ("lane_cycles", stats.lane_cycles),
+                ("idle_cycles", stats.idle_cycles),
+                ("imbalance_cycles", stats.imbalance_cycles),
+                ("stall_cycles", stats.stall_cycles),
+                ("waves", stats.waves),
+                ("threads", stats.threads),
+                ("probes", stats.probes),
+                ("alu", c.get(Comp::Alu)),
+                ("global_near", c.get(Comp::GlobalNear)),
+                ("global_far", c.get(Comp::GlobalFar)),
+                ("atomic", c.get(Comp::Atomic)),
+                ("probe_near", c.get(Comp::ProbeNear)),
+                ("probe_far", c.get(Comp::ProbeFar)),
+                ("shared", c.get(Comp::Shared)),
+                ("barrier", c.get(Comp::Barrier)),
+                ("frontier_compact", c.get(Comp::FrontierCompact)),
+            ],
+        );
     }
 
     /// Duration of one wave under a latency/throughput/occupancy model.
@@ -774,7 +722,6 @@ impl WaveSnapshot {
                 ("divergence", Value::F64(divergence)),
             ],
         );
-        #[cfg(feature = "prof")]
         sink.metrics(
             "wave",
             wave_t0,
@@ -831,7 +778,6 @@ impl<'a> BlockCtx<'a> {
     /// Mutable access to lane `l`'s meter.
     pub fn lane(&mut self, l: usize) -> &mut LaneMeter {
         self.touched[l] = true;
-        #[cfg(feature = "sancheck")]
         hooks::lane_ctx((l / self.warp_size) as u32, (l % self.warp_size) as u32);
         &mut self.lanes[l]
     }
@@ -861,7 +807,6 @@ impl<'a> BlockCtx<'a> {
         for k in 0..count {
             let l = k % b;
             self.touched[l] = true;
-            #[cfg(feature = "sancheck")]
             hooks::lane_ctx((l / self.warp_size) as u32, (l % self.warp_size) as u32);
             f(k, &mut self.lanes[l]);
         }
@@ -893,7 +838,6 @@ impl<'a> BlockCtx<'a> {
     /// [`Self::set_lane_active`] have exited and are not aligned — if only
     /// part of a warp reaches the barrier the `sancheck` checker flags it.
     pub fn barrier(&mut self) {
-        #[cfg(feature = "sancheck")]
         hooks::barrier(&self.active, self.warp_size);
         let max = self
             .lanes

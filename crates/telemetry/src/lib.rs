@@ -37,7 +37,7 @@
 //! Telemetry is strictly opt-in at run time: nothing observes an LPA run
 //! until a [`ConvergenceRecorder`] is attached or a [`PhaseSpan`] opened,
 //! so untelemetered runs — including the golden-trace tests — are
-//! byte-identical with the feature compiled in.
+//! byte-identical to runs with no telemetry at all.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

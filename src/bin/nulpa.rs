@@ -37,7 +37,6 @@ use std::time::Instant;
 
 // Meter the heap: every `nulpa` allocation goes through the counting
 // shim so `stats`/`--telemetry` can report peak/current heap bytes.
-#[cfg(feature = "telemetry")]
 nu_lpa::telemetry::install_counting_alloc!();
 
 fn main() -> ExitCode {
@@ -107,6 +106,28 @@ fn usage() {
          Only nu-lpa and nu-lpa-sim are instrumented.\n\n\
          DATASETS: any Table-1 name, e.g. uk-2002, com-Orkut, asia_osm, kmer_A2a"
     );
+}
+
+/// The graph at `path`, or without one the built-in trio that `stats`,
+/// `profile` and `sancheck` run by default.
+fn graph_or_trio(path: Option<&String>) -> Result<Vec<(String, Csr)>, String> {
+    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
+    Ok(match path {
+        Some(p) => vec![(p.clone(), load_graph(p)?)],
+        None => vec![
+            ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
+            ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
+            ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
+        ],
+    })
+}
+
+/// This host's hardware thread count, for run metadata.
+fn hw_threads() -> String {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .to_string()
 }
 
 fn load_graph(path: &str) -> Result<Csr, String> {
@@ -256,17 +277,8 @@ fn print_graph_stats(g: &Csr) {
     println!("symmetric:    {}", g.is_symmetric());
 }
 
-#[cfg(not(feature = "telemetry"))]
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("stats: missing graph path")?;
-    let g = load_graph(path)?;
-    print_graph_stats(&g);
-    Ok(())
-}
-
 /// The backends `nulpa stats` runs, and so the only ones a quality-gate
 /// baseline may name.
-#[cfg(feature = "telemetry")]
 const STATS_BACKENDS: &[&str] = &[
     "seq",
     "nu-lpa",
@@ -284,10 +296,8 @@ const STATS_BACKENDS: &[&str] = &[
 /// modularity). `--history` appends run records to the JSONL ledger,
 /// `--write-baseline`/`--check` drive the quality gate, `--telemetry`
 /// dumps the metrics registry (`.prom` or JSONL).
-#[cfg(feature = "telemetry")]
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::resolve_threads;
-    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nu_lpa::obs::meta::run_meta;
     use nu_lpa::telemetry::{
         append_history, global, heap_stats, peak_rss_bytes, write_snapshot, PhaseSpan, RunRecord,
@@ -302,24 +312,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     ];
     let json = args.iter().any(|a| a == "--json");
     let backend_filter = opt_value(args, "--backend");
-    let graphs: Vec<(String, Csr)> = match positional(args, VALUE_FLAGS) {
-        Some(p) => {
-            let span = PhaseSpan::new("load");
-            let g = load_graph(p)?;
-            span.finish();
-            vec![(p.clone(), g)]
-        }
-        None => {
-            let span = PhaseSpan::new("load");
-            let trio = vec![
-                ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-                ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-                ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-            ];
-            span.finish();
-            trio
-        }
-    };
+    let span = PhaseSpan::new("load");
+    let graphs = graph_or_trio(positional(args, VALUE_FLAGS))?;
+    span.finish();
 
     let backends: Vec<&str> = STATS_BACKENDS
         .iter()
@@ -339,13 +334,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         ("threads", resolve_threads(cfg.threads).to_string()),
         ("device", cfg.device.preset_name()),
         ("probe", cfg.probe.label().to_string()),
-        (
-            "hw_threads",
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .to_string(),
-        ),
+        ("hw_threads", hw_threads()),
     ]);
 
     let mut records = Vec::new();
@@ -421,14 +410,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// One telemetered backend run: result, trajectory, final modularity.
-#[cfg(feature = "telemetry")]
 struct ObservedRun {
     result: nu_lpa::core::LpaResult,
     samples: Vec<nu_lpa::telemetry::IterationSample>,
     final_q: f64,
 }
 
-#[cfg(feature = "telemetry")]
 fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, String> {
     use nu_lpa::core::{lpa_gpu_observed, lpa_native_observed, lpa_seq_observed};
     use nu_lpa::telemetry::ConvergenceRecorder;
@@ -458,7 +445,6 @@ fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, 
 
 /// Human-readable rendering of one run record: summary line, phase
 /// breakdown, memory footprint, and the convergence trajectory table.
-#[cfg(feature = "telemetry")]
 fn print_run_record(r: &nu_lpa::telemetry::RunRecord) {
     println!(
         "backend {}: {} iterations ({}), {} communities, Q = {:.4}, {:.2} ms",
@@ -524,7 +510,6 @@ fn print_run_record(r: &nu_lpa::telemetry::RunRecord) {
 
 /// Serialise the quality-gate baseline: per (graph, backend) final
 /// modularity, wall-clock, and peak heap.
-#[cfg(feature = "telemetry")]
 fn baseline_json(meta: &[(String, String)], records: &[nu_lpa::telemetry::RunRecord]) -> String {
     use nu_lpa::obs::json::{escape, fmt_f64};
     let mut out = String::from("{\"meta\":");
@@ -557,7 +542,6 @@ fn baseline_json(meta: &[(String, String)], records: &[nu_lpa::telemetry::RunRec
 /// built-in trio measures scheduler noise, not the algorithm. Every
 /// baseline entry must name a backend from [`STATS_BACKENDS`]: a row left
 /// behind by a retired backend is an error, not a silent skip.
-#[cfg(feature = "telemetry")]
 fn check_against_baseline(
     baseline_text: &str,
     records: &[nu_lpa::telemetry::RunRecord],
@@ -637,6 +621,18 @@ fn check_against_baseline(
     Ok(())
 }
 
+/// Every `--method` that `detect` runs.
+const DETECT_METHODS: &[&str] = &[
+    "nu-lpa",
+    "nu-lpa-sim",
+    "flpa",
+    "networkit",
+    "gunrock",
+    "louvain",
+    "leiden",
+    "gve-lpa",
+];
+
 /// Check the arguments that follow `detect`'s graph path against the
 /// flags it accepts, so a misspelt or retired flag is an error instead of
 /// being silently ignored. Returns whether `--help` was among them.
@@ -689,25 +685,10 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let telemetry_path = opt_value(args, "--telemetry");
-    #[cfg(not(feature = "telemetry"))]
-    if telemetry_path.is_some() {
-        return Err(
-            "--telemetry: this binary was built without the `telemetry` feature \
-                    (rebuild with default features)"
-                .into(),
-        );
-    }
-    // Phase spans are opened only when telemetry output was requested —
-    // untelemetered runs stay observation-free.
-    #[cfg(feature = "telemetry")]
-    let load_span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("load"));
-    let g = load_graph(path)?;
-    let load = start.elapsed();
-    #[cfg(feature = "telemetry")]
-    if let Some(span) = load_span {
-        span.finish();
-    }
     let method = opt_value(args, "--method").unwrap_or("nu-lpa");
+    if !DETECT_METHODS.contains(&method) {
+        return Err(format!("unknown method `{method}`"));
+    }
     let output = opt_value(args, "--output");
     let quality = args.iter().any(|a| a == "--quality");
     let trace_path = opt_value(args, "--trace");
@@ -722,24 +703,33 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         .transpose()?
         .unwrap_or(0);
     let frontier = args.iter().any(|a| a == "--frontier");
-    if frontier && !matches!(method, "nu-lpa" | "nu-lpa-sim") {
+    let instrumented = matches!(method, "nu-lpa" | "nu-lpa-sim");
+    if frontier && !instrumented {
         return Err(format!(
             "--frontier: method `{method}` has no frontier mode (use nu-lpa or nu-lpa-sim)"
+        ));
+    }
+    if trace_path.is_some() && !instrumented {
+        return Err(format!(
+            "--trace: method `{method}` is not instrumented (use nu-lpa or nu-lpa-sim)"
         ));
     }
     let cfg = LpaConfig::default()
         .with_threads(threads)
         .with_frontier(frontier);
     cfg.validate()?;
-    if trace_path.is_some() && !matches!(method, "nu-lpa" | "nu-lpa-sim") {
-        return Err(format!(
-            "--trace: method `{method}` is not instrumented (use nu-lpa or nu-lpa-sim)"
-        ));
+
+    // Phase spans are opened only when telemetry output was requested —
+    // untelemetered runs stay observation-free.
+    let load_span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("load"));
+    let g = load_graph(path)?;
+    let load = start.elapsed();
+    if let Some(span) = load_span {
+        span.finish();
     }
     let mut file_sink = trace_path.map(FileSink::create).transpose()?;
     let mut null = NullSink;
 
-    #[cfg(feature = "telemetry")]
     let iterate_span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("iterate"));
     let t0 = Instant::now();
     let labels: Vec<u32> = {
@@ -766,11 +756,10 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
             "louvain" => louvain(&g, &LouvainConfig::default()).labels,
             "leiden" => leiden(&g, &LeidenConfig::default()).labels,
             "gve-lpa" => gve_lpa(&g, &GveLpaConfig::default()).labels,
-            other => return Err(format!("unknown method `{other}`")),
+            other => unreachable!("method `{other}` is not in DETECT_METHODS"),
         }
     };
     let iterate = t0.elapsed();
-    #[cfg(feature = "telemetry")]
     if let Some(span) = iterate_span {
         span.finish();
     }
@@ -778,7 +767,6 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         s.close(tp)?;
         eprintln!("trace written to {tp}");
     }
-    #[cfg(feature = "telemetry")]
     if let Some(tp) = telemetry_path {
         nu_lpa::telemetry::write_snapshot(tp, &nu_lpa::telemetry::global().snapshot())?;
         eprintln!("telemetry snapshot written to {tp}");
@@ -1017,10 +1005,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// trajectory, and the max/mean busy-time imbalance. `--trace` writes a
 /// Chrome/Perfetto trace of the last run's thread timelines;
 /// `--write-baseline`/`--check` drive the hostprof regression gate.
-#[cfg(feature = "telemetry")]
 fn cmd_profile_host(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::lpa_native_hostprof;
-    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nu_lpa::obs::meta::{meta_json, run_meta};
     use nu_lpa::telemetry::hostprof as hp;
 
@@ -1028,14 +1014,7 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
     const THREAD_LADDER: &[usize] = &[1, 2, 4];
 
     let json = args.iter().any(|a| a == "--json");
-    let graphs: Vec<(String, Csr)> = match positional(args, VALUE_FLAGS) {
-        Some(p) => vec![(p.clone(), load_graph(p)?)],
-        None => vec![
-            ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-            ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-            ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-        ],
-    };
+    let graphs = graph_or_trio(positional(args, VALUE_FLAGS))?;
 
     let mut reports = Vec::new();
     let mut last_trace: Option<(String, nu_lpa::core::HostProfData)> = None;
@@ -1043,13 +1022,7 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
         for &threads in THREAD_LADDER {
             let cfg = LpaConfig::default().with_threads(threads);
             let (_result, prof) = lpa_native_hostprof(g, &cfg);
-            let Some(data) = prof else {
-                return Err(
-                    "profile --host: instrumentation compiled out (rebuild with the \
-                     default `telemetry` feature, which enables nulpa-core/hostprof)"
-                        .into(),
-                );
-            };
+            let data = prof.ok_or("profile --host: the run returned no profile")?;
             let report = hp::summarize(gname, &data);
             hp::record_registry(&report);
             reports.push(report);
@@ -1057,13 +1030,7 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let meta = run_meta(&[(
-        "hw_threads",
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .to_string(),
-    )]);
+    let meta = run_meta(&[("hw_threads", hw_threads())]);
     if json {
         print!("{}", hp::report_json(&meta_json(&meta), &reports));
     } else {
@@ -1107,41 +1074,21 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Stub when host telemetry is compiled out.
-#[cfg(not(feature = "telemetry"))]
-fn cmd_profile_host(_args: &[String]) -> Result<(), String> {
-    Err(
-        "profile --host: this binary was built without the `telemetry` feature \
-         (rebuild with default features)"
-            .into(),
-    )
-}
-
 /// `nulpa profile` (without `--host`): run the simulated-GPU backend
 /// matrix under the cycle-attribution profiler and print per-kernel
 /// component breakdowns, a roofline summary and the per-SM occupancy
 /// timeline. Without a graph argument the built-in trio is profiled;
 /// `--backend NAME` restricts the backend matrix; `--json` prints the
 /// machine-readable report the perf gate compares.
-#[cfg(feature = "prof")]
 fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::resolve_threads;
-    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nu_lpa::obs::meta::run_meta;
     use nu_lpa::prof::{backends, json::report_to_json, profile_graph, render::render};
 
     let json = args.iter().any(|a| a == "--json");
     let backend_filter = opt_value(args, "--backend");
     let telemetry_path = opt_value(args, "--telemetry");
-    let graph_path = positional(args, &["--backend", "--telemetry"]);
-    let graphs: Vec<(String, Csr)> = match graph_path {
-        Some(p) => vec![(p.clone(), load_graph(p)?)],
-        None => vec![
-            ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-            ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-            ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-        ],
-    };
+    let graphs = graph_or_trio(positional(args, &["--backend", "--telemetry"]))?;
     let specs: Vec<_> = backends()
         .into_iter()
         .filter(|s| backend_filter.is_none_or(|f| s.name == f))
@@ -1159,10 +1106,8 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     let mut leaked = 0usize;
     for (gname, g) in &graphs {
         for spec in &specs {
-            #[cfg(feature = "telemetry")]
             let span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("iterate"));
             let gp = profile_graph(gname, g, spec);
-            #[cfg(feature = "telemetry")]
             if let Some(span) = span {
                 span.finish();
             }
@@ -1192,20 +1137,11 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
         ]);
         println!("{}", report_to_json(&meta, &profiles));
     }
-    #[cfg(feature = "telemetry")]
     if let Some(tp) = telemetry_path {
         nu_lpa::telemetry::write_snapshot(tp, &nu_lpa::telemetry::global().snapshot())?;
         if !json {
             eprintln!("telemetry snapshot written to {tp}");
         }
-    }
-    #[cfg(not(feature = "telemetry"))]
-    if telemetry_path.is_some() {
-        return Err(
-            "--telemetry: this binary was built without the `telemetry` feature \
-                    (rebuild with default features)"
-                .into(),
-        );
     }
     if leaked > 0 {
         return Err(format!(
@@ -1216,38 +1152,20 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Stub when the simulated-cycle profiler is compiled out.
-#[cfg(not(feature = "prof"))]
-fn cmd_profile_sim(_args: &[String]) -> Result<(), String> {
-    Err("profile: this binary was built without the `prof` feature \
-         (rebuild with default features)"
-        .into())
-}
-
 /// `nulpa sancheck`: run the shipped backends under the dynamic hazard
 /// checker (shadow-memory wave-race/invariant detection) and fail with a
 /// non-zero exit if any hazard is reported. Without a graph argument a
 /// built-in suite of small generated graphs is used; `--json` prints one
 /// machine-readable report object per run.
-#[cfg(feature = "sancheck")]
 fn cmd_sancheck(args: &[String]) -> Result<(), String> {
     use nu_lpa::core::{lpa_gpu, SwapMode};
-    use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nu_lpa::metrics::check_labels;
     use nu_lpa::obs::json::escape;
     use nu_lpa::sancheck::{install, uninstall, CheckerConfig};
     use nu_lpa::simt::DeviceConfig;
 
     let json = args.iter().any(|a| a == "--json");
-    let graph_path = args.iter().find(|a| !a.starts_with("--"));
-    let graphs: Vec<(String, Csr)> = match graph_path {
-        Some(p) => vec![(p.clone(), load_graph(p)?)],
-        None => vec![
-            ("two-cliques-s6".into(), two_cliques_light_bridge(6)),
-            ("caveman-4x8".into(), caveman_weighted(4, 8, 0.5)),
-            ("erdos-renyi-256".into(), erdos_renyi(256, 768, 42)),
-        ],
-    };
+    let graphs = graph_or_trio(args.iter().find(|a| !a.starts_with("--")))?;
 
     // Backend × device matrix. The CC1 run forces a Cross-Check pass after
     // every iteration, driving the atomic-exchange revert kernel; the tiny
@@ -1351,21 +1269,10 @@ fn cmd_sancheck(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Stub when the checker is compiled out.
-#[cfg(not(feature = "sancheck"))]
-fn cmd_sancheck(_args: &[String]) -> Result<(), String> {
-    Err(
-        "sancheck: this binary was built without the `sancheck` feature \
-         (rebuild with default features)"
-            .into(),
-    )
-}
-
 /// `nulpa check [--json] [--inject] [--root DIR]` — run the static
 /// kernel effect verifier and the workspace invariant linter. Exits
 /// non-zero on any finding; `--inject` adds the fault-injection
 /// descriptors (the gate must then fail — that is its self-test).
-#[cfg(feature = "check")]
 fn cmd_check(args: &[String]) -> Result<(), String> {
     use nu_lpa::check::{register_injected, run_check};
 
@@ -1398,7 +1305,6 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 
 /// Locate the workspace root by walking up from the current directory
 /// until a `Cargo.toml` containing a `[workspace]` table is found.
-#[cfg(feature = "check")]
 fn workspace_root() -> Result<std::path::PathBuf, String> {
     let mut dir = std::env::current_dir().map_err(|e| e.to_string())?;
     loop {
@@ -1416,12 +1322,4 @@ fn workspace_root() -> Result<std::path::PathBuf, String> {
             );
         }
     }
-}
-
-/// Stub when the static checker is compiled out.
-#[cfg(not(feature = "check"))]
-fn cmd_check(_args: &[String]) -> Result<(), String> {
-    Err("check: this binary was built without the `check` feature \
-         (rebuild with default features)"
-        .into())
 }

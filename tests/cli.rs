@@ -93,6 +93,28 @@ fn detect_help_and_flag_in_place_of_path() {
         ),
         (vec!["detect", p, "--quality", "extra"], "`extra`"),
         (vec!["detect", p, "--output"], "`--output`"),
+        // Flag values are checked before the graph is read, so these
+        // name the flag, not the missing file.
+        (
+            vec!["detect", "missing.txt", "--method", "bogus"],
+            "`bogus`",
+        ),
+        (vec!["detect", "missing.txt", "--threads", "0"], "--threads"),
+        (
+            vec!["detect", "missing.txt", "--method", "flpa", "--frontier"],
+            "--frontier",
+        ),
+        (
+            vec![
+                "detect",
+                "missing.txt",
+                "--method",
+                "louvain",
+                "--trace",
+                "t.json",
+            ],
+            "--trace",
+        ),
     ] {
         let out = Command::new(BIN).args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?}");
@@ -261,7 +283,6 @@ fn inspect_reports_top_communities() {
 /// `stats --write-baseline` → `stats --check` round-trips clean, and the
 /// gate demonstrably fails when the baseline claims 2% more modularity
 /// than the backends deliver (an injected quality regression).
-#[cfg(feature = "telemetry")]
 #[test]
 fn stats_quality_gate_passes_clean_and_fails_injected_regression() {
     let base = tmp("gate-baseline.json");
@@ -342,7 +363,6 @@ fn stats_quality_gate_passes_clean_and_fails_injected_regression() {
 }
 
 /// `stats --json` emits one parseable object with per-run trajectories.
-#[cfg(feature = "telemetry")]
 #[test]
 fn stats_json_reports_all_backends() {
     let out = Command::new(BIN)

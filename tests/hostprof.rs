@@ -6,11 +6,10 @@
 //! field, across thread counts and scheduling modes
 //! (picks are pure functions of block-frozen labels; the profiler only
 //! changes *which thread* computes a pick and how cursors are claimed).
-//! **Integrity**: when the recorder is compiled in (`telemetry` default
-//! feature → `nulpa-core/hostprof`), the collected data must account
-//! for exactly the work the run did — every candidate attributed to a
-//! bucket, spans on every thread that worked, and repair statistics that
-//! are identical at any thread count.
+//! **Integrity**: the collected data must account for exactly the work
+//! the run did — every candidate attributed to a bucket, spans on every
+//! thread that worked, and repair statistics that are identical at any
+//! thread count.
 
 use nu_lpa::core::{lpa_native, lpa_native_hostprof, LpaConfig, LpaResult};
 use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
@@ -76,10 +75,8 @@ fn profiled_frontier_run_is_bit_identical() {
     }
 }
 
-#[cfg(feature = "telemetry")]
 mod data {
-    //! Integrity of the collected data (needs the recorder compiled in,
-    //! which the default `telemetry` feature provides transitively).
+    //! Integrity of the collected data.
 
     use super::*;
     use nu_lpa::core::HostProfData;
@@ -87,7 +84,7 @@ mod data {
     fn profile(g: &Csr, threads: usize) -> HostProfData {
         let cfg = LpaConfig::default().with_threads(threads);
         let (_, prof) = lpa_native_hostprof(g, &cfg);
-        prof.expect("the hostprof feature is on")
+        prof.expect("lpa_native_hostprof always returns a profile")
     }
 
     #[test]
