@@ -15,26 +15,33 @@
 //!   work per bucket in bucket-matched chunk sizes (large chunks of cheap
 //!   vertices, hubs one at a time), so a single hub can never serialize a
 //!   chunk of small vertices behind it.
-//! * **Flat counts** — label weights accumulate into a dense per-thread
-//!   `Vec` indexed by label, reset by generation stamp instead of
-//!   clearing (`ScratchPad`). Weight ties are broken exactly like the
-//!   per-vertex table's `hashtableMaxKey` (first maximal slot in probe-built
-//!   slot order); the slot layout is only simulated when a tie actually
-//!   occurs, so the dense argmax stays hash-free on weighted graphs.
+//! * **Small and flat counts** — a vertex of degree at most the paper's
+//!   switch degree (`BucketThresholds::default().low_max`, 32) sums its
+//!   label weights in a 32-entry on-stack table searched linearly; larger
+//!   vertices use a dense per-thread `Vec` indexed by label, reset by
+//!   generation stamp instead of clearing (`ScratchPad`). Weight ties are
+//!   broken exactly like the per-vertex table's `hashtableMaxKey` (first
+//!   maximal slot in probe-built slot order); the slot layout is only
+//!   simulated when a tie actually occurs, so the argmax stays hash-free
+//!   on weighted graphs.
 //!
 //! **Determinism and trajectory.** The committed trajectory is, by
 //! construction, *exactly* the fully sequential asynchronous sweep over
 //! the shuffled candidate list — the same schedule the reference backend
-//! runs. Threads only ever compute *speculative* picks against the labels
-//! frozen at their block's start; the coordinating thread then commits
-//! the block sequentially in candidate order, and any candidate whose
-//! pick may be stale — one with a neighbour that moved earlier in the
-//! same block — is recomputed on the spot against the live labels. A
-//! speculative pick is used only when it provably equals the serial one,
-//! so labels, ΔN trajectories, and frontier contents are bit-identical at
-//! any `--threads N`, while the shuffled order keeps same-block
-//! neighbours rare enough that almost all picks are served from the
-//! parallel phase.
+//! runs. Threads only ever compute *speculative* picks; the lead thread
+//! commits each block alone, in candidate order, and recomputes on the
+//! spot any pick that may be stale. The loop is pipelined: while the
+//! workers compute block `p`, the lead commits block `p − 1` and then
+//! helps with what is left of block `p`, so a block-`p` pick may have
+//! read labels that block `p − 1`'s commit was writing. The staleness
+//! window is therefore two blocks wide: a pick is recomputed iff a
+//! neighbour moved during block `p − 1`'s commit or earlier in block
+//! `p`'s. Movers stamp their neighbours (push-style, FLPA's worklist rule)
+//! in the row walk that clears `processed`, so the test is one load of
+//! the candidate's own stamp; this relies on the structurally symmetric
+//! CSR every loader builds. A speculative pick is used only when it
+//! provably equals the serial one, so labels, ΔN trajectories, frontier
+//! contents and the repair count are bit-identical at any `--threads N`.
 
 use crate::config::BucketThresholds;
 use crate::hostprof::{HostProfData, RunProf, SpanKind, ThreadProf};
@@ -43,7 +50,7 @@ use nulpa_hashtab::{
     capacity_for_degree, probe_budget, secondary_prime, HashValue, ProbeSeq, ProbeStrategy,
 };
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Work-claim chunk sizes per bucket: low-degree vertices are claimed in
 /// large runs (cheap, abundant), mid-degree in short runs, hubs one at a
@@ -87,17 +94,16 @@ pub fn bucket_partition(g: &Csr, cands: &[VertexId], t: BucketThresholds) -> [Ve
 /// a slot is live only when its stamp equals the current generation, so
 /// "clearing" between vertices is one counter bump instead of an O(n)
 /// fill. `touched` records the distinct labels seen for the current
-/// vertex so the argmax scan is O(distinct), not O(n).
+/// vertex so the argmax scan is O(distinct), not O(n). Only vertices
+/// above the low bucket use the dense arrays, so on an all-low graph
+/// their pages are never touched.
 struct ScratchPad<V> {
     counts: Vec<V>,
     stamp: Vec<u32>,
     gen: u32,
     touched: Vec<u32>,
-    /// Slot-occupancy simulation for the tie-break path (`slot_keys[s]`
-    /// is live iff `slot_stamp[s] == gen`); grown on demand to the
-    /// largest table capacity seen.
-    slot_keys: Vec<u32>,
-    slot_stamp: Vec<u32>,
+    /// Slot-occupancy simulation for the tie-break replay.
+    slots: SlotTable,
 }
 
 impl<V: HashValue> ScratchPad<V> {
@@ -107,8 +113,7 @@ impl<V: HashValue> ScratchPad<V> {
             stamp: vec![0; n],
             gen: 0,
             touched: Vec::new(),
-            slot_keys: Vec::new(),
-            slot_stamp: Vec::new(),
+            slots: SlotTable::default(),
         }
     }
 
@@ -119,10 +124,99 @@ impl<V: HashValue> ScratchPad<V> {
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             self.stamp.fill(0);
-            self.slot_stamp.fill(0);
             self.gen = 1;
         }
         self.touched.clear();
+    }
+}
+
+/// Simulated slot layout of one per-vertex table: `key[s]` (an index
+/// into the replayed key list) is live iff `stamp[s] == gen`. Grown on
+/// demand to the largest table capacity seen.
+#[derive(Default)]
+struct SlotTable {
+    key: Vec<u32>,
+    stamp: Vec<u32>,
+    gen: u32,
+}
+
+impl SlotTable {
+    /// Empty a table of capacity `p1` in O(1) (bulk reset on wrap).
+    fn begin(&mut self, p1: usize) {
+        if self.key.len() < p1 {
+            self.key.resize(p1, 0);
+            self.stamp.resize(p1, 0);
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.stamp.fill(0);
+            self.gen = 1;
+        }
+    }
+}
+
+/// Spin-then-block barrier for the pipelined block loop. A waiter spins
+/// briefly — phases are short, and a futex sleep and wake-up costs more
+/// than most of them — then sleeps on a condition variable, so more
+/// threads than cores do not burn the cores the others need.
+///
+/// Ordering: the `AcqRel` increments of `arrived` chain every arriver's
+/// writes to the last arriver, whose `Release` store of `phase` (which
+/// also publishes the reset of `arrived`) pairs with the `Acquire` loads
+/// of `phase` in the waiters. The lock guards only the sleeper count,
+/// which every update leaves valid and no code panics while holding, so
+/// a poisoned lock is taken over as is.
+struct PhaseBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    phase: AtomicUsize,
+    sleepers: Mutex<usize>,
+    wake: Condvar,
+}
+
+impl PhaseBarrier {
+    fn new(parties: usize) -> Self {
+        PhaseBarrier {
+            parties,
+            arrived: AtomicUsize::new(0),
+            phase: AtomicUsize::new(0),
+            sleepers: Mutex::new(0),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Block until all `parties` threads have called `wait` for this
+    /// phase. Everything a thread wrote before its `wait` is visible to
+    /// every thread after theirs.
+    fn wait(&self) {
+        let phase = self.phase.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // Last to arrive: reset the count before anyone can pass,
+            // then open the next phase under the lock so a waiter that
+            // is about to sleep cannot miss the wake-up.
+            self.arrived.store(0, Ordering::Relaxed);
+            let sleepers = self.sleepers.lock().unwrap_or_else(PoisonError::into_inner);
+            self.phase.store(phase.wrapping_add(1), Ordering::Release);
+            if *sleepers > 0 {
+                self.wake.notify_all();
+            }
+            return;
+        }
+        for _ in 0..1 << 12 {
+            if self.phase.load(Ordering::Acquire) != phase {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let mut sleepers = self.sleepers.lock().unwrap_or_else(PoisonError::into_inner);
+        while self.phase.load(Ordering::Acquire) == phase {
+            *sleepers += 1;
+            sleepers = self
+                .wake
+                .wait(sleepers)
+                .unwrap_or_else(PoisonError::into_inner);
+            *sleepers -= 1;
+        }
     }
 }
 
@@ -141,11 +235,12 @@ pub(crate) struct FastState<V> {
     picks: Vec<AtomicU32>,
     /// One scratch pad per thread (index 0 is the coordinating thread).
     scratch: Vec<ScratchPad<V>>,
-    /// `moved[v] == block_stamp` iff `v`'s label changed during the
-    /// block currently being committed — the staleness test for the
-    /// serial repair path.
-    moved: Vec<u64>,
-    block_stamp: u64,
+    /// `dirty[v]` is the stamp of the last commit block in which a
+    /// neighbour of `v` moved — the staleness test of the repair path.
+    dirty: Vec<u32>,
+    /// Stamp of the last commit block; stamps grow across iterations, so
+    /// `dirty` is cleared only when they would wrap.
+    block_stamp: u32,
     /// Host-profiling recorders (inert unless the run asked for a
     /// profile): one per thread, parallel to `scratch`, plus the
     /// run-level repair ledger.
@@ -178,7 +273,7 @@ impl<V: HashValue> FastState<V> {
             block_edges: block_edges.max(MIN_BLOCK_EDGES),
             picks: Vec::new(),
             scratch: (0..threads).map(|_| ScratchPad::new(n)).collect(),
-            moved: vec![0; n],
+            dirty: vec![0; n],
             block_stamp: 0,
             prof,
             runprof,
@@ -189,6 +284,13 @@ impl<V: HashValue> FastState<V> {
     /// off). Call once, after the last iteration.
     pub(crate) fn take_profile(&mut self) -> Option<HostProfData> {
         self.runprof.collect(&mut self.prof)
+    }
+
+    /// Mark the start of an iteration's serial set-up (candidate filter,
+    /// shuffle, block cut, bucket build) for the host profile; the next
+    /// [`FastState::run_iteration`] records the time up to its block loop.
+    pub(crate) fn begin_setup(&mut self) {
+        self.runprof.begin_setup();
     }
 
     /// Per-block adjacency budget for this active set: at most the L2
@@ -212,10 +314,36 @@ impl<V: HashValue> FastState<V> {
         pick_less: bool,
         labels: &[AtomicU32],
         processed: &[AtomicU8],
-        mut fr: Option<FrontierCtx<'_>>,
+        fr: Option<FrontierCtx<'_>>,
     ) -> usize {
         let total_edges: usize = candidates.iter().map(|&v| g.degree(v)).sum();
-        let blocks = candidate_blocks(g, candidates, self.budget(total_edges));
+        let budget = self.budget(total_edges);
+        self.sweep(
+            g, iter, candidates, budget, pick_less, labels, processed, fr,
+        )
+    }
+
+    /// [`FastState::run_iteration`] with an explicit per-block budget.
+    ///
+    /// One pipelined loop serves every thread count. Phase `p` computes
+    /// block `p`: the workers start on it at once, while the lead first
+    /// commits block `p − 1` and then claims what is left of block `p`.
+    /// One barrier ends each phase; the lead commits the last block after
+    /// the workers are done. At one thread the same loop runs with no
+    /// workers.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep(
+        &mut self,
+        g: &Csr,
+        iter: u32,
+        candidates: &[VertexId],
+        budget: usize,
+        pick_less: bool,
+        labels: &[AtomicU32],
+        processed: &[AtomicU8],
+        mut fr: Option<FrontierCtx<'_>>,
+    ) -> usize {
+        let blocks = candidate_blocks(g, candidates, budget);
         let buckets: Vec<[Vec<usize>; 3]> = blocks
             .iter()
             .map(|b| {
@@ -233,97 +361,83 @@ impl<V: HashValue> FastState<V> {
             self.picks
                 .resize_with(candidates.len(), || AtomicU32::new(NO_MOVE));
         }
+        let setup_ns = self.runprof.setup_elapsed_ns();
 
         let mut changed = 0usize;
         let mut repaired = 0u64;
         let mut repair_blocks = 0u32;
         let mut commit_ns = 0u64;
-        if self.threads == 1 {
-            let (lead, _) = self.scratch.split_at_mut(1);
-            let lead = &mut lead[0];
-            let tp = &mut self.prof[0];
-            for (bi, block) in blocks.iter().enumerate() {
-                tp.begin_span();
-                for (k, idxs) in buckets[bi].iter().enumerate() {
-                    for &i in idxs {
-                        let pick =
-                            compute_pick(g, candidates[i], pick_less, self.probe, labels, lead);
-                        self.picks[i].store(pick.unwrap_or(NO_MOVE), Ordering::Relaxed);
+        let probe = self.probe;
+        let cursors: Vec<[AtomicUsize; 3]> = blocks.iter().map(|_| Default::default()).collect();
+        let barrier = PhaseBarrier::new(self.threads);
+        let picks = &self.picks[..];
+        let blocks = &blocks[..];
+        let buckets = &buckets[..];
+        let cursors = &cursors[..];
+        let barrier = &barrier;
+        // Block `b` commits under stamp `base + 1 + b`.
+        let nb = blocks.len() as u32;
+        if self.block_stamp.checked_add(nb).is_none() {
+            self.dirty.fill(0);
+            self.block_stamp = 0;
+        }
+        let base = self.block_stamp;
+        self.block_stamp += nb;
+        let dirty = &mut self.dirty[..];
+        let (lead, rest) = self.scratch.split_at_mut(1);
+        let lead = &mut lead[0];
+        let (plead, prest) = self.prof.split_at_mut(1);
+        let plead = &mut plead[0];
+        std::thread::scope(|s| {
+            for (scratch, tp) in rest.iter_mut().zip(prest.iter_mut()) {
+                s.spawn(move || {
+                    for bi in 0..blocks.len() {
+                        tp.begin_span();
+                        compute_block(
+                            g,
+                            candidates,
+                            &buckets[bi],
+                            &cursors[bi],
+                            picks,
+                            pick_less,
+                            probe,
+                            labels,
+                            scratch,
+                            tp,
+                        );
+                        tp.end_span(SpanKind::Compute, iter, bi as u32);
+                        barrier.wait();
                     }
-                    // Single-threaded runs drain each bucket in one go —
-                    // attribute it as one chunk.
-                    if tp.enabled() && !idxs.is_empty() {
-                        let edges = idxs
-                            .iter()
-                            .map(|&i| g.degree(candidates[i]) as u64)
-                            .sum::<u64>();
-                        tp.count_chunk(k, idxs.len() as u64, edges);
-                    }
-                }
-                tp.end_span(SpanKind::Compute, iter, bi as u32);
-                self.block_stamp += 1;
-                tp.begin_span();
-                let (c, rep) = commit_block(
-                    g,
-                    candidates,
-                    block.clone(),
-                    &self.picks,
-                    pick_less,
-                    self.probe,
-                    labels,
-                    processed,
-                    lead,
-                    &mut self.moved,
-                    self.block_stamp,
-                    &mut fr,
-                );
-                changed += c;
-                repaired += rep;
-                repair_blocks += (rep > 0) as u32;
-                commit_ns += tp.end_span(SpanKind::Commit, iter, bi as u32);
+                });
             }
-        } else {
-            let t = self.threads;
-            let probe = self.probe;
-            let cursors: Vec<[AtomicUsize; 3]> =
-                blocks.iter().map(|_| Default::default()).collect();
-            let barrier = Barrier::new(t);
-            let picks = &self.picks[..];
-            let blocks = &blocks[..];
-            let buckets = &buckets[..];
-            let cursors = &cursors[..];
-            let barrier = &barrier;
-            let moved = &mut self.moved;
-            let block_stamp = &mut self.block_stamp;
-            let (lead, rest) = self.scratch.split_at_mut(1);
-            let lead = &mut lead[0];
-            let (plead, prest) = self.prof.split_at_mut(1);
-            let plead = &mut plead[0];
-            std::thread::scope(|s| {
-                for (scratch, tp) in rest.iter_mut().zip(prest.iter_mut()) {
-                    s.spawn(move || {
-                        for bi in 0..blocks.len() {
-                            barrier.wait();
-                            tp.begin_span();
-                            compute_block(
-                                g,
-                                candidates,
-                                &buckets[bi],
-                                &cursors[bi],
-                                picks,
-                                pick_less,
-                                probe,
-                                labels,
-                                scratch,
-                                tp,
-                            );
-                            tp.end_span(SpanKind::Compute, iter, bi as u32);
-                            barrier.wait();
-                        }
-                    });
+            for bi in 0..=blocks.len() {
+                if bi > 0 {
+                    let b = bi - 1;
+                    // Block 0's picks saw every earlier commit; block b's
+                    // may have read block b − 1's commit in flight.
+                    let window_lo = base + b.max(1) as u32;
+                    plead.begin_span();
+                    let (c, rep) = commit_block(
+                        g,
+                        candidates,
+                        blocks[b].clone(),
+                        picks,
+                        pick_less,
+                        probe,
+                        labels,
+                        processed,
+                        lead,
+                        dirty,
+                        base + 1 + b as u32,
+                        window_lo,
+                        &mut fr,
+                    );
+                    changed += c;
+                    repaired += rep;
+                    repair_blocks += (rep > 0) as u32;
+                    commit_ns += plead.end_span(SpanKind::Commit, iter, b as u32);
                 }
-                for (bi, block) in blocks.iter().enumerate() {
-                    barrier.wait();
+                if bi < blocks.len() {
                     plead.begin_span();
                     compute_block(
                         g,
@@ -338,33 +452,10 @@ impl<V: HashValue> FastState<V> {
                         plead,
                     );
                     plead.end_span(SpanKind::Compute, iter, bi as u32);
-                    // Workers park at the next block's start barrier
-                    // while the lead commits, so no thread reads labels
-                    // concurrently with the sequential commit below.
                     barrier.wait();
-                    *block_stamp += 1;
-                    plead.begin_span();
-                    let (c, rep) = commit_block(
-                        g,
-                        candidates,
-                        block.clone(),
-                        picks,
-                        pick_less,
-                        probe,
-                        labels,
-                        processed,
-                        lead,
-                        moved,
-                        *block_stamp,
-                        &mut fr,
-                    );
-                    changed += c;
-                    repaired += rep;
-                    repair_blocks += (rep > 0) as u32;
-                    commit_ns += plead.end_span(SpanKind::Commit, iter, bi as u32);
                 }
-            });
-        }
+            }
+        });
         self.runprof.record_iter(
             iter,
             blocks.len() as u32,
@@ -373,6 +464,7 @@ impl<V: HashValue> FastState<V> {
             repair_blocks,
             changed as u64,
             commit_ns,
+            setup_ns,
         );
         changed
     }
@@ -380,8 +472,9 @@ impl<V: HashValue> FastState<V> {
 
 /// Claim-and-compute loop for one block: threads pull per-bucket chunks
 /// off shared cursors until the block is drained. Every candidate index
-/// is computed by exactly one thread; the stored pick is independent of
-/// which thread that is (labels are frozen for the whole block).
+/// is computed by exactly one thread; which thread that is cannot matter,
+/// because the commit recomputes every pick that may have read a label
+/// still in flight.
 #[allow(clippy::too_many_arguments)]
 fn compute_block<V: HashValue>(
     g: &Csr,
@@ -419,16 +512,72 @@ fn compute_block<V: HashValue>(
 }
 
 /// Compute one vertex's pick against the current labels: accumulate
-/// neighbour label weights into the dense scratch, then take the
-/// heaviest label. A unique maximum needs no tie-break and is returned
-/// straight off the `touched` scan; on a weight tie the winner is
-/// resolved by [`slot_order_winner`], reproducing the per-vertex table
-/// bit-for-bit. Either way the pick is a pure function of the label
-/// state, so it cannot depend on bucket or chunk scheduling.
+/// neighbour label weights, then take the heaviest label. A unique
+/// maximum needs no tie-break; on a weight tie the winner is resolved by
+/// [`slot_order_winner`], reproducing the per-vertex table bit-for-bit.
+/// Either way the pick is a pure function of the label state, so it
+/// cannot depend on bucket or chunk scheduling.
 fn compute_pick<V: HashValue>(
     g: &Csr,
     v: VertexId,
     pick_less: bool,
+    probe: ProbeStrategy,
+    labels: &[AtomicU32],
+    scratch: &mut ScratchPad<V>,
+) -> Option<VertexId> {
+    let c_star = if g.degree(v) <= BucketThresholds::default().low_max as usize {
+        small_pick::<V>(g, v, probe, labels, &mut scratch.slots)
+    } else {
+        dense_pick(g, v, probe, labels, scratch)
+    }?;
+    let cur = labels[v as usize].load(Ordering::Relaxed);
+    (c_star != cur && (!pick_less || c_star < cur)).then_some(c_star)
+}
+
+/// Heaviest neighbour label of a low-bucket vertex: (label, weight)
+/// pairs on the stack, in first-occurrence CSR order, found by linear
+/// search — one cache miss per neighbour label, none for the counts.
+fn small_pick<V: HashValue>(
+    g: &Csr,
+    v: VertexId,
+    probe: ProbeStrategy,
+    labels: &[AtomicU32],
+    slots: &mut SlotTable,
+) -> Option<VertexId> {
+    // 32 = `BucketThresholds::default().low_max`, the most distinct
+    // labels a low-bucket vertex can see; the test
+    // `low_bucket_vertex_with_all_distinct_labels` ties the two together.
+    let mut keys = [0u32; 32];
+    let mut weights = [V::zero(); 32];
+    let mut len = 0usize;
+    for (j, w) in g.neighbors(v) {
+        if j == v {
+            continue;
+        }
+        let c = labels[j as usize].load(Ordering::Relaxed);
+        let k = match keys[..len].iter().position(|&k| k == c) {
+            Some(k) => k,
+            None => {
+                keys[len] = c;
+                weights[len] = V::zero();
+                len += 1;
+                len - 1
+            }
+        };
+        weights[k] = weights[k].add(V::from_weight(w));
+    }
+    let (keys, weights) = (&keys[..len], &weights[..len]);
+    match heaviest(keys, |i| weights[i])? {
+        (c, false) => Some(c),
+        (_, true) => slot_order_winner(g.degree(v), probe, keys, |i| weights[i], slots),
+    }
+}
+
+/// Heaviest neighbour label of a larger vertex, summed in the dense
+/// per-thread scratch.
+fn dense_pick<V: HashValue>(
+    g: &Csr,
+    v: VertexId,
     probe: ProbeStrategy,
     labels: &[AtomicU32],
     scratch: &mut ScratchPad<V>,
@@ -447,10 +596,25 @@ fn compute_pick<V: HashValue>(
         }
         scratch.counts[ci] = scratch.counts[ci].add(V::from_weight(w));
     }
+    let ScratchPad {
+        counts,
+        touched,
+        slots,
+        ..
+    } = scratch;
+    let weight = |i: usize| counts[touched[i] as usize];
+    match heaviest(touched, weight)? {
+        (c, false) => Some(c),
+        (_, true) => slot_order_winner(g.degree(v), probe, touched, weight, slots),
+    }
+}
+
+/// First maximal key in list order, and whether another key ties it.
+fn heaviest<V: HashValue>(keys: &[u32], weight: impl Fn(usize) -> V) -> Option<(VertexId, bool)> {
     let mut best: Option<(VertexId, V)> = None;
     let mut tied = false;
-    for &c in &scratch.touched {
-        let w = scratch.counts[c as usize];
+    for (i, &c) in keys.iter().enumerate() {
+        let w = weight(i);
         match &best {
             Some((_, bw)) if w > *bw => {
                 best = Some((c, w));
@@ -461,63 +625,59 @@ fn compute_pick<V: HashValue>(
             _ => {}
         }
     }
-    let (mut c_star, _) = best?;
-    if tied {
-        c_star = slot_order_winner(g, v, probe, scratch)
-            .expect("a weight tie implies a non-empty table");
-    }
-    let cur = labels[v as usize].load(Ordering::Relaxed);
-    (c_star != cur && (!pick_less || c_star < cur)).then_some(c_star)
+    best.map(|(c, _)| (c, tied))
 }
 
-/// Tie-break replay of the per-vertex hashtable: rebuild the
-/// table's slot assignment (same capacity `p₁ = nextPow2(d) − 1`, probe
-/// sequences, probe budget and linear fallback as
-/// `TableMut::accumulate`) and rerun `hashtableMaxKey`'s
-/// strictly-greater slot scan over the dense counts — so the *first
-/// maximal slot's* key wins, exactly as in the table kernel.
+/// Tie-break replay of the per-vertex hashtable of a degree-`degree`
+/// vertex: rebuild the table's slot assignment (same capacity
+/// `p₁ = nextPow2(d) − 1`, probe sequences, probe budget and linear
+/// fallback as `TableMut::accumulate`) and rerun `hashtableMaxKey`'s
+/// strictly-greater slot scan — so the *first maximal slot's* key wins,
+/// exactly as in the table kernel. `keys` are the distinct labels and
+/// `weight(i)` the summed weight of `keys[i]`.
 ///
 /// Two replays are skipped because they cannot change the outcome:
 /// weights (per label both paths add the same values in the same CSR
-/// order, so `counts[label]` already equals the table cell
-/// bit-for-bit), and duplicate insertions — a repeated key re-walks its
-/// original probe path over slots that are still occupied, so it always
-/// lands on its existing slot and never claims a new one. Slot
-/// assignment is therefore a function of the *distinct* labels in
-/// first-occurrence CSR order, which is exactly `scratch.touched`. The
-/// `weight_ties_resolve_to_table_slot_order_winner` proptest pins this
-/// against `TableMut` itself.
+/// order, so `weight(i)` already equals the table cell bit-for-bit), and
+/// duplicate insertions — a repeated key re-walks its original probe
+/// path over slots that are still occupied, so it always lands on its
+/// existing slot and never claims a new one. Slot assignment is
+/// therefore a function of the *distinct* labels in first-occurrence CSR
+/// order, which is the order both the small table and `touched` keep.
+/// The `weight_ties_resolve_to_table_slot_order_winner` proptest pins
+/// this against `TableMut` itself.
 fn slot_order_winner<V: HashValue>(
-    g: &Csr,
-    v: VertexId,
+    degree: usize,
     probe: ProbeStrategy,
-    scratch: &mut ScratchPad<V>,
+    keys: &[u32],
+    weight: impl Fn(usize) -> V,
+    slots: &mut SlotTable,
 ) -> Option<VertexId> {
-    let p1 = capacity_for_degree(g.degree(v));
+    let p1 = capacity_for_degree(degree);
     if p1 == 0 {
         return None;
     }
     let p2 = secondary_prime(p1);
-    if scratch.slot_keys.len() < p1 {
-        scratch.slot_keys.resize(p1, 0);
-        scratch.slot_stamp.resize(p1, 0);
-    }
-    let gen = scratch.gen;
+    slots.begin(p1);
+    let gen = slots.gen;
     let budget = probe_budget(p1);
-    for &key in &scratch.touched {
+    for (i, &key) in keys.iter().enumerate() {
+        let mut claim = |s: usize| {
+            if slots.stamp[s] != gen {
+                slots.stamp[s] = gen;
+                slots.key[s] = i as u32;
+                true
+            } else {
+                keys[slots.key[s] as usize] == key
+            }
+        };
         let mut seq = ProbeSeq::new(probe, key, p1, p2);
         let mut placed = false;
         let mut last = 0usize;
         for _ in 0..budget {
             let s = seq.slot();
             last = s;
-            if scratch.slot_stamp[s] != gen {
-                scratch.slot_stamp[s] = gen;
-                scratch.slot_keys[s] = key;
-                placed = true;
-                break;
-            }
-            if scratch.slot_keys[s] == key {
+            if claim(s) {
                 placed = true;
                 break;
             }
@@ -526,13 +686,7 @@ fn slot_order_winner<V: HashValue>(
         if !placed {
             // linear fallback from the last probed slot, as in accumulate
             for off in 1..=p1 {
-                let s = (last + off) % p1;
-                if scratch.slot_stamp[s] != gen {
-                    scratch.slot_stamp[s] = gen;
-                    scratch.slot_keys[s] = key;
-                    break;
-                }
-                if scratch.slot_keys[s] == key {
+                if claim((last + off) % p1) {
                     break;
                 }
             }
@@ -540,18 +694,15 @@ fn slot_order_winner<V: HashValue>(
     }
     let mut best: Option<(VertexId, V)> = None;
     for s in 0..p1 {
-        if scratch.slot_stamp[s] != gen {
+        if slots.stamp[s] != gen {
             continue;
         }
-        let c = scratch.slot_keys[s];
-        let w = scratch.counts[c as usize];
+        let i = slots.key[s] as usize;
+        let w = weight(i);
         match &best {
-            None => best = Some((c, w)),
-            Some((_, bw)) => {
-                if w > *bw {
-                    best = Some((c, w));
-                }
-            }
+            Some((_, bw)) if w > *bw => best = Some((keys[i], w)),
+            None => best = Some((keys[i], w)),
+            _ => {}
         }
     }
     best.map(|(c, _)| c)
@@ -560,10 +711,11 @@ fn slot_order_winner<V: HashValue>(
 /// Sequentially commit one block in candidate order (lead thread only),
 /// reproducing the fully sequential asynchronous sweep exactly: each
 /// candidate is marked processed, its speculative pick is used unless a
-/// neighbour moved earlier in this block (in which case the pick is
-/// recomputed against the live labels), and an adopted move stores the
-/// label, clears neighbour `processed` flags, and — in frontier mode —
-/// claims worklist pushes through the `queued` flags.
+/// neighbour moved in a block stamped `window_lo` or later (then the pick
+/// is recomputed against the live labels), and an adopted move stores the
+/// label, clears neighbour `processed` flags, stamps the neighbours'
+/// `dirty` entries with `stamp`, and — in frontier mode — claims worklist
+/// pushes through the `queued` flags.
 ///
 /// Returns `(ΔN, picks recomputed)`. The repair count depends only on
 /// the block partition and commit order — both deterministic — so it is
@@ -579,8 +731,9 @@ fn commit_block<V: HashValue>(
     labels: &[AtomicU32],
     processed: &[AtomicU8],
     scratch: &mut ScratchPad<V>,
-    moved: &mut [u64],
-    block_stamp: u64,
+    dirty: &mut [u32],
+    stamp: u32,
+    window_lo: u32,
     fr: &mut Option<FrontierCtx<'_>>,
 ) -> (usize, u64) {
     let mut changed = 0usize;
@@ -588,11 +741,7 @@ fn commit_block<V: HashValue>(
     for i in block {
         let v = candidates[i];
         processed[v as usize].store(1, Ordering::Relaxed);
-        let stale = g
-            .neighbor_ids(v)
-            .iter()
-            .any(|&j| moved[j as usize] == block_stamp);
-        let pick = if stale {
+        let pick = if dirty[v as usize] >= window_lo {
             repaired += 1;
             compute_pick(g, v, pick_less, probe, labels, scratch).unwrap_or(NO_MOVE)
         } else {
@@ -602,13 +751,13 @@ fn commit_block<V: HashValue>(
             continue;
         }
         labels[v as usize].store(pick, Ordering::Relaxed);
-        moved[v as usize] = block_stamp;
         changed += 1;
         match fr {
             Some(ctx) => {
                 ctx.movers.push(v);
                 for &j in g.neighbor_ids(v) {
                     processed[j as usize].store(0, Ordering::Relaxed);
+                    dirty[j as usize] = stamp;
                     if ctx.queued[j as usize].swap(1, Ordering::Relaxed) == 0 {
                         ctx.worklist.push(j);
                     }
@@ -617,6 +766,7 @@ fn commit_block<V: HashValue>(
             None => {
                 for &j in g.neighbor_ids(v) {
                     processed[j as usize].store(0, Ordering::Relaxed);
+                    dirty[j as usize] = stamp;
                 }
             }
         }
@@ -627,7 +777,7 @@ fn commit_block<V: HashValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nulpa_graph::gen::{erdos_renyi, star};
+    use nulpa_graph::gen::{caveman_weighted, erdos_renyi, star};
     use proptest::prelude::*;
 
     #[test]
@@ -779,5 +929,227 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn low_bucket_vertex_with_all_distinct_labels() {
+        // The on-stack table holds every distinct label of the largest
+        // low-bucket vertex; one more neighbour moves it to the dense path.
+        let low = BucketThresholds::default().low_max as usize;
+        for d in [low, low + 1] {
+            let mut b = nulpa_graph::GraphBuilder::new(d + 1);
+            for j in 1..=d as u32 {
+                b = b.add_undirected_edge(0, j, 1.0);
+            }
+            let g = b.build();
+            let labels: Vec<u32> = (0..=d as u32).collect();
+            for probe in ProbeStrategy::all() {
+                assert_eq!(
+                    fast_pick::<f32>(&g, &labels, probe),
+                    table_pick::<f32>(&g, &labels, probe),
+                    "degree {d}, {probe:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phase_barrier_separates_phases() {
+        // Every thread must see all increments of a phase before any
+        // thread starts the next one.
+        let threads = 4;
+        let barrier = PhaseBarrier::new(threads);
+        let count = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    for phase in 1..=200 {
+                        count.fetch_add(1, Ordering::Relaxed);
+                        barrier.wait();
+                        assert_eq!(count.load(Ordering::Relaxed), phase * threads);
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+    }
+
+    /// The serial asynchronous sweep the fast path must reproduce: in
+    /// candidate order, compute each pick against the live labels and
+    /// commit it at once.
+    fn serial_sweep(
+        g: &Csr,
+        candidates: &[VertexId],
+        pick_less: bool,
+        labels: &[AtomicU32],
+        processed: &[AtomicU8],
+        mut fr: Option<FrontierCtx<'_>>,
+    ) -> usize {
+        let mut s = ScratchPad::<f32>::new(g.num_vertices());
+        let probe = ProbeStrategy::QuadraticDouble;
+        let mut changed = 0;
+        for &v in candidates {
+            processed[v as usize].store(1, Ordering::Relaxed);
+            let Some(c) = compute_pick(g, v, pick_less, probe, labels, &mut s) else {
+                continue;
+            };
+            labels[v as usize].store(c, Ordering::Relaxed);
+            changed += 1;
+            if let Some(ctx) = fr.as_mut() {
+                ctx.movers.push(v);
+            }
+            for &j in g.neighbor_ids(v) {
+                processed[j as usize].store(0, Ordering::Relaxed);
+                if let Some(ctx) = fr.as_mut() {
+                    if ctx.queued[j as usize].swap(1, Ordering::Relaxed) == 0 {
+                        ctx.worklist.push(j);
+                    }
+                }
+            }
+        }
+        changed
+    }
+
+    /// One run's mutable state: labels, `processed` and `queued` flags.
+    struct Run {
+        labels: Vec<AtomicU32>,
+        processed: Vec<AtomicU8>,
+        queued: Vec<AtomicU8>,
+    }
+
+    impl Run {
+        fn new(n: usize) -> Self {
+            Run {
+                labels: (0..n as u32).map(AtomicU32::new).collect(),
+                processed: (0..n).map(|_| AtomicU8::new(0)).collect(),
+                queued: (0..n).map(|_| AtomicU8::new(0)).collect(),
+            }
+        }
+
+        fn snapshot(&self) -> (Vec<u32>, Vec<u8>) {
+            (
+                self.labels
+                    .iter()
+                    .map(|l| l.load(Ordering::Relaxed))
+                    .collect(),
+                self.processed
+                    .iter()
+                    .map(|p| p.load(Ordering::Relaxed))
+                    .collect(),
+            )
+        }
+    }
+
+    /// Run four iterations of the fast path from `first_stamp` and of
+    /// [`serial_sweep`] side by side, comparing ΔN, labels, `processed`
+    /// flags, worklist and movers after each.
+    fn assert_matches_serial(
+        graph: &str,
+        g: &Csr,
+        threads: usize,
+        budget: usize,
+        pick_less: bool,
+        frontier: bool,
+        first_stamp: u32,
+    ) {
+        let n = g.num_vertices();
+        let mut fast = FastState::<f32>::new(
+            n,
+            threads,
+            nulpa_graph::blocks::DEFAULT_BLOCK_EDGES,
+            ProbeStrategy::QuadraticDouble,
+            false,
+        );
+        fast.block_stamp = first_stamp;
+        let (a, b) = (Run::new(n), Run::new(n));
+        for iter in 0..4 {
+            let ctx = format!(
+                "{graph} threads {threads} budget {budget} pick_less {pick_less} \
+                 frontier {frontier} iter {iter}"
+            );
+            let mut cands: Vec<VertexId> = (0..n as VertexId)
+                .filter(|&v| {
+                    a.processed[v as usize].load(Ordering::Relaxed) == 0 && g.degree(v) > 0
+                })
+                .collect();
+            crate::seq::shuffle_candidates(&mut cands, iter);
+            let pl = pick_less && iter % 2 == 1;
+            let (mut wa, mut ma, mut wb, mut mb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for q in a.queued.iter().chain(&b.queued) {
+                q.store(0, Ordering::Relaxed);
+            }
+            let dn_fast = fast.sweep(
+                g,
+                iter,
+                &cands,
+                budget,
+                pl,
+                &a.labels,
+                &a.processed,
+                frontier.then(|| FrontierCtx {
+                    queued: &a.queued,
+                    worklist: &mut wa,
+                    movers: &mut ma,
+                }),
+            );
+            let dn_serial = serial_sweep(
+                g,
+                &cands,
+                pl,
+                &b.labels,
+                &b.processed,
+                frontier.then(|| FrontierCtx {
+                    queued: &b.queued,
+                    worklist: &mut wb,
+                    movers: &mut mb,
+                }),
+            );
+            assert_eq!(dn_fast, dn_serial, "ΔN, {ctx}");
+            assert!(
+                a.snapshot() == b.snapshot(),
+                "labels or processed flags, {ctx}"
+            );
+            assert_eq!(wa, wb, "worklist, {ctx}");
+            assert_eq!(ma, mb, "movers, {ctx}");
+        }
+    }
+
+    #[test]
+    fn pipelined_sweep_equals_the_serial_sweep() {
+        let graphs = [
+            erdos_renyi(600, 2400, 1),
+            erdos_renyi(250, 2500, 2),
+            caveman_weighted(12, 10, 0.3),
+            nulpa_graph::gen::kmer_chain(40, 10, 40, 0.2, 3),
+            nulpa_graph::gen::web_crawl(500, 4, 0.1, 4),
+        ];
+        let budgets = [
+            MIN_BLOCK_EDGES,
+            256,
+            2048,
+            nulpa_graph::blocks::DEFAULT_BLOCK_EDGES,
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            for threads in 1..=4 {
+                for budget in budgets {
+                    for pick_less in [false, true] {
+                        for frontier in [false, true] {
+                            let graph = format!("graph {gi}");
+                            assert_matches_serial(
+                                &graph, g, threads, budget, pick_less, frontier, 0,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_stamp_wrap_keeps_the_serial_sweep() {
+        // Stamps run out within the first iteration: `dirty` is cleared
+        // and the sweep stays serial-equivalent.
+        let g = erdos_renyi(600, 2400, 1);
+        assert_matches_serial("wrap", &g, 2, MIN_BLOCK_EDGES, false, false, u32::MAX - 3);
     }
 }

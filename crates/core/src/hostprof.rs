@@ -15,16 +15,19 @@
 //!   by the low/mid/high degree buckets;
 //! * **per-iteration repair statistics** — how many speculative picks
 //!   the sequential commit had to recompute and how many blocks
-//!   serialized behind the lead, plus commit wall time.
+//!   serialized behind the lead, plus the wall time of the commits and
+//!   of the lead's serial per-iteration set-up.
 //!
 //! Everything here is **provably neutral**: nothing is timed or counted
 //! until a run is started through [`crate::lpa_native_hostprof`] (an
 //! unprofiled run claims cursors with a plain `fetch_add`) — the committed
-//! label trajectory is bit-identical either way, because speculative
-//! picks are pure functions of block-frozen labels and the claim
-//! mechanism only decides *which thread* computes a pick, never its
-//! value. Aggregation, rendering, and the regression gate live in
-//! `nulpa-telemetry`'s `hostprof` module; this side stays plain data.
+//! label trajectory is bit-identical either way, because the commit
+//! keeps a speculative pick only when no neighbour of its vertex moved
+//! since the labels it could have read were committed, and recomputes
+//! every other pick; the claim mechanism only decides *which thread*
+//! computes a pick and when, never which picks are kept. Aggregation,
+//! rendering, and the regression gate live in `nulpa-telemetry`'s
+//! `hostprof` module; this side stays plain data.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -94,8 +97,9 @@ pub struct ThreadProfData {
 }
 
 /// Repair statistics for one committed iteration. Every field except
-/// `commit_ns` is a pure function of the candidate schedule, so these
-/// records are deterministic *and* identical at any thread count.
+/// the wall-clock `commit_ns` and `setup_ns` is a pure function of the
+/// candidate schedule, so these records are deterministic *and*
+/// identical at any thread count.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IterRepairStats {
     /// Iteration index.
@@ -105,7 +109,8 @@ pub struct IterRepairStats {
     /// Candidates swept (the iteration's active set).
     pub candidates: u64,
     /// Speculative picks the sequential commit recomputed because a
-    /// same-block neighbour moved earlier in the block.
+    /// neighbour moved during the previous block's commit or earlier in
+    /// the candidate's own block.
     pub repaired: u64,
     /// Blocks that needed at least one repair — work serialized behind
     /// the lead thread.
@@ -114,11 +119,16 @@ pub struct IterRepairStats {
     pub committed: u64,
     /// Wall time of the sequential commit phase, in nanoseconds.
     pub commit_ns: u64,
+    /// Wall time of the lead's serial set-up before the block loop
+    /// (candidate filter, shuffle, block cut, bucket build), in
+    /// nanoseconds. Outside every span, so not part of `busy_ns`.
+    pub setup_ns: u64,
 }
 
 impl IterRepairStats {
-    /// True when every deterministic field matches (`commit_ns`, the one
-    /// wall-clock field, is ignored) — the thread-invariance predicate.
+    /// True when every deterministic field matches (the wall-clock
+    /// `commit_ns` and `setup_ns` are ignored) — the thread-invariance
+    /// predicate.
     pub fn same_schedule(&self, other: &IterRepairStats) -> bool {
         self.iter == other.iter
             && self.blocks == other.blocks
@@ -243,8 +253,8 @@ impl ThreadProf {
     /// Claim `chunk` indices off a bucket cursor. Disabled runs use a
     /// single `fetch_add`; profiled runs use a CAS loop whose failures
     /// count cursor contention. Both claim the same ranges — only the
-    /// mechanism differs, and picks are pure functions of block-frozen
-    /// labels, so this cannot change any result.
+    /// mechanism differs, and the commit keeps only picks that equal the
+    /// serial sweep's, so this cannot change any result.
     #[inline]
     pub(crate) fn claim(
         &mut self,
@@ -292,15 +302,36 @@ impl ThreadProf {
 pub(crate) struct RunProf {
     enabled: bool,
     t0: Instant,
+    /// Start of the current iteration's set-up.
+    setup_t0: Instant,
     iters: Vec<IterRepairStats>,
 }
 
 impl RunProf {
     pub(crate) fn new(enabled: bool) -> Self {
+        let t0 = Instant::now();
         RunProf {
             enabled,
-            t0: Instant::now(),
+            t0,
+            setup_t0: t0,
             iters: Vec::new(),
+        }
+    }
+
+    /// Mark the start of an iteration's serial set-up (no-op when
+    /// disabled).
+    pub(crate) fn begin_setup(&mut self) {
+        if self.enabled {
+            self.setup_t0 = Instant::now();
+        }
+    }
+
+    /// Nanoseconds since [`RunProf::begin_setup`] (0 when disabled).
+    pub(crate) fn setup_elapsed_ns(&self) -> u64 {
+        if self.enabled {
+            self.setup_t0.elapsed().as_nanos() as u64
+        } else {
+            0
         }
     }
 
@@ -328,6 +359,7 @@ impl RunProf {
         repair_blocks: u32,
         committed: u64,
         commit_ns: u64,
+        setup_ns: u64,
     ) {
         if self.enabled {
             self.iters.push(IterRepairStats {
@@ -338,6 +370,7 @@ impl RunProf {
                 repair_blocks,
                 committed,
                 commit_ns,
+                setup_ns,
             });
         }
     }
@@ -401,6 +434,7 @@ mod tests {
                 repair_blocks: (rep > 0) as u32,
                 committed: 10,
                 commit_ns: 123,
+                setup_ns: 45,
             });
         }
         assert!((d.repair_rate() - 5.0 / 150.0).abs() < 1e-12);
@@ -429,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn same_schedule_ignores_commit_wall_time() {
+    fn same_schedule_ignores_wall_time() {
         let a = IterRepairStats {
             iter: 0,
             blocks: 8,
@@ -438,9 +472,11 @@ mod tests {
             repair_blocks: 2,
             committed: 40,
             commit_ns: 1_000,
+            setup_ns: 500,
         };
         let mut b = a;
         b.commit_ns = 999_999;
+        b.setup_ns = 777_777;
         assert!(a.same_schedule(&b));
         b.repaired = 4;
         assert!(!a.same_schedule(&b));

@@ -197,6 +197,7 @@ fn lpa_native_typed<V: HashValue>(
     let now_us = |t0: &Instant| t0.elapsed().as_micros() as u64;
 
     for iter in 0..config.max_iterations {
+        fast.begin_setup();
         // Shuffled sweep order: emulates the interleaved schedule a real
         // thread pool produces and avoids the ascending-cascade pathology
         // (see `seq::shuffle_candidates`).

@@ -140,11 +140,20 @@ pub fn render_report(reports: &[HostRunReport]) -> String {
             "host profile: {}  threads={}  wall {:.2} ms  iters {}\n",
             r.graph, r.threads, r.wall_ms, r.iterations
         ));
+        let (commit_ns, setup_ns): (u64, u64) = r
+            .iters
+            .iter()
+            .fold((0, 0), |(a, b), i| (a + i.commit_ns, b + i.setup_ns));
         out.push_str(&format!(
             "  imbalance {:.2}x   repair rate {:.2}% ({repaired}/{cands})   cursor CAS retries {}\n",
             r.imbalance,
             r.repair_rate * 100.0,
             r.cas_retries
+        ));
+        out.push_str(&format!(
+            "  commit_ms {:.2}   setup_ms {:.2}   (both serial on the lead)\n",
+            ms(commit_ns),
+            ms(setup_ns)
         ));
         out.push_str("  thread      busy_ms   util%   spans   p50_us   p95_us   max_us\n");
         for t in &r.per_thread {
@@ -224,14 +233,15 @@ fn report_obj(r: &HostRunReport) -> String {
         .map(|i| {
             format!(
                 "{{\"iter\":{},\"blocks\":{},\"candidates\":{},\"repaired\":{},\
-                 \"repair_blocks\":{},\"committed\":{},\"commit_ms\":{}}}",
+                 \"repair_blocks\":{},\"committed\":{},\"commit_ms\":{},\"setup_ms\":{}}}",
                 i.iter,
                 i.blocks,
                 i.candidates,
                 i.repaired,
                 i.repair_blocks,
                 i.committed,
-                fmt_f64(i.commit_ns as f64 / 1e6)
+                fmt_f64(ms(i.commit_ns)),
+                fmt_f64(ms(i.setup_ns))
             )
         })
         .collect();
@@ -501,6 +511,7 @@ mod tests {
                 repair_blocks: 1,
                 committed: 42,
                 commit_ns: 1_000,
+                setup_ns: 250,
             }],
         }
     }
@@ -529,6 +540,8 @@ mod tests {
             "threads=2",
             "imbalance",
             "repair rate",
+            "commit_ms",
+            "setup_ms",
             "0 (lead)",
             "bucket",
             "low",
@@ -552,6 +565,9 @@ mod tests {
         let buckets = runs[0].get("buckets").unwrap().as_arr().unwrap();
         assert_eq!(buckets.len(), 3);
         assert_eq!(buckets[0].get("name").unwrap().as_str(), Some("low"));
+        let iters = runs[0].get("iters").unwrap().as_arr().unwrap();
+        assert_eq!(iters[0].get("commit_ms").unwrap().as_f64(), Some(0.001));
+        assert_eq!(iters[0].get("setup_ms").unwrap().as_f64(), Some(0.00025));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! nulpa generate  <dataset> [options]           write a synthetic stand-in
 //! ```
 //!
-//! Graphs are read as MatrixMarket (`.mtx`) or whitespace edge lists
+//! Graphs are read as MatrixMarket (`.mtx`), binary CSR (`.csr`, as
+//! `generate --output x.csr` writes it) or whitespace edge lists
 //! (anything else); `-` reads an edge list from stdin. Outputs one label
 //! per line in vertex order.
 //!
@@ -25,7 +26,9 @@ use nu_lpa::core::{
     CoarsenConfig, LpaConfig, PulpConfig,
 };
 use nu_lpa::graph::datasets::spec_by_name;
-use nu_lpa::graph::io::{read_edge_list, read_matrix_market, write_edge_list};
+use nu_lpa::graph::io::{
+    read_binary, read_edge_list, read_matrix_market, write_binary, write_edge_list,
+};
 use nu_lpa::graph::stats::average_clustering;
 use nu_lpa::graph::subgraph::community_subgraph;
 use nu_lpa::graph::Csr;
@@ -77,7 +80,7 @@ fn usage() {
          nulpa coarsen <graph> --target N [--output FILE]\n  \
          nulpa inspect <graph> [--top N]\n  \
          nulpa predict <graph> [-k N]\n  \
-         nulpa generate <dataset> [--scale F] [--output FILE]\n  \
+         nulpa generate <dataset> [--scale F] [--output FILE]   (FILE.csr: binary CSR)\n  \
          nulpa trace <tracefile> [--top K] [--json]\n  \
          nulpa sancheck [graph] [--json]   run backends under the hazard checker\n  \
          nulpa check [--json] [--inject]   static kernel effect verifier + workspace linter\n  \
@@ -139,6 +142,16 @@ fn load_graph(path: &str) -> Result<Csr, String> {
     let r = BufReader::new(f);
     if path.ends_with(".mtx") {
         read_matrix_market(r).map_err(|e| format!("{path}: {e}"))
+    } else if path.ends_with(".csr") {
+        // The text readers symmetrize; a binary file is taken as stored,
+        // so check the undirected form every algorithm relies on.
+        let g = read_binary(r).map_err(|e| format!("{path}: {e}"))?;
+        if !g.is_symmetric() {
+            return Err(format!(
+                "{path}: not symmetric (every edge must be stored in both directions with one weight)"
+            ));
+        }
+        Ok(g)
     } else {
         read_edge_list(r, None, true).map_err(|e| format!("{path}: {e}"))
     }
@@ -953,7 +966,14 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     match opt_value(args, "--output") {
         Some(path) => {
             let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            write_edge_list(&d.graph, BufWriter::new(f)).map_err(|e| e.to_string())
+            let mut w = BufWriter::new(f);
+            if path.ends_with(".csr") {
+                write_binary(&d.graph, &mut w)
+            } else {
+                write_edge_list(&d.graph, &mut w)
+            }
+            .and_then(|()| w.flush())
+            .map_err(|e| format!("{path}: {e}"))
         }
         None => {
             let out = std::io::stdout();

@@ -190,6 +190,69 @@ fn partition_balances() {
 }
 
 #[test]
+fn detect_reads_generated_csr_binaries() {
+    let generate = |path: &std::path::Path| {
+        let out = Command::new(BIN)
+            .args(["generate", "kmer_V1r", "--scale", "0.00005", "--output"])
+            .arg(path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let detect = |path: &std::path::Path| {
+        Command::new(BIN)
+            .arg("detect")
+            .arg(path)
+            .args(["--threads", "2", "--quality"])
+            .output()
+            .unwrap()
+    };
+    let (text, bin) = (tmp("roundtrip.txt"), tmp("roundtrip.csr"));
+    generate(&text);
+    generate(&bin);
+    let (from_text, from_bin) = (detect(&text), detect(&bin));
+    assert!(
+        from_bin.status.success(),
+        "{}",
+        String::from_utf8_lossy(&from_bin.stderr)
+    );
+    assert!(from_text.status.success());
+    assert!(!from_bin.stdout.is_empty());
+    assert_eq!(
+        from_text.stdout, from_bin.stdout,
+        "labels from the .csr differ from the edge list's"
+    );
+
+    // A truncated binary is an error that names the file.
+    let cut = tmp("truncated.csr");
+    let bytes = std::fs::read(&bin).unwrap();
+    std::fs::write(&cut, &bytes[..bytes.len() - 5]).unwrap();
+    let out = detect(&cut);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("truncated.csr"), "{err}");
+
+    // So is a binary that stores an edge in one direction only.
+    let directed = nu_lpa::graph::GraphBuilder::new(3)
+        .add_edge(0, 1, 1.0)
+        .build();
+    let one_way = tmp("one_way.csr");
+    let f = std::fs::File::create(&one_way).unwrap();
+    nu_lpa::graph::io::write_binary(&directed, std::io::BufWriter::new(f)).unwrap();
+    let out = detect(&one_way);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("one_way.csr") && err.contains("not symmetric"),
+        "{err}"
+    );
+}
+
+#[test]
 fn generate_pipes_into_detect() {
     let gpath = tmp("gen.txt");
     let out = Command::new(BIN)
