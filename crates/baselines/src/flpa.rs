@@ -2,15 +2,19 @@
 //!
 //! The paper's sequential baseline (`igraph_community_label_propagation`
 //! with `IGRAPH_LPA_FAST`). Algorithm: a FIFO work queue seeded with all
-//! vertices (no random shuffling, per the paper's related-work note —
-//! "without random node order shuffling"); pop a vertex, adopt a random
-//! *dominant* label (maximum total neighbour weight); when the label
-//! changes, push the neighbours that are not already in the queue and not
-//! in the new community. Terminates when the queue drains.
+//! vertices in a random order, as the reference adds them; pop a vertex,
+//! adopt a random *dominant* label (maximum total neighbour weight); when
+//! the label changes, push the neighbours that are not already in the
+//! queue and not in the new community. Terminates when the queue drains.
+//! Only the initial order is random; after that the queue is the
+//! schedule. Seeding the queue in ascending id order instead lets one
+//! label flood the graph on the first, all-ties pass.
 //!
-//! The random dominant-label choice is seeded and deterministic per run.
+//! The initial order and the random dominant-label choice draw from one
+//! RNG seeded with `seed`, so a run is deterministic per seed.
 
 use nulpa_graph::{Csr, VertexId};
+use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -33,7 +37,9 @@ pub fn flpa(g: &Csr, seed: u64) -> FlpaResult {
     let mut labels: Vec<VertexId> = (0..n as VertexId).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
-    let mut queue: VecDeque<VertexId> = g.vertices().filter(|&v| g.degree(v) > 0).collect();
+    let mut seeds: Vec<VertexId> = g.vertices().filter(|&v| g.degree(v) > 0).collect();
+    seeds.shuffle(&mut rng);
+    let mut queue = VecDeque::from(seeds);
     let mut in_queue = vec![false; n];
     for &v in &queue {
         in_queue[v as usize] = true;

@@ -76,7 +76,7 @@ fn run_matrix() -> Result<Vec<GraphProfile>, String> {
     let mut profiles = Vec::new();
     for (gname, g) in &graph_trio() {
         for spec in &backends() {
-            let gp = profile_graph(gname, g, spec);
+            let gp = profile_graph(gname, g, spec)?;
             if let Err(e) = &gp.conservation {
                 return Err(format!("{gname}/{}: conservation failed: {e}", spec.name));
             }

@@ -101,6 +101,12 @@ impl BenchArgs {
                     if t == 0 {
                         return Err("--threads needs a positive integer".into());
                     }
+                    if t > nulpa_core::MAX_THREADS {
+                        return Err(format!(
+                            "--threads {t} exceeds the maximum of {}",
+                            nulpa_core::MAX_THREADS
+                        ));
+                    }
                     threads = Some(t);
                 }
                 "--json" => {
@@ -520,6 +526,8 @@ mod tests {
         assert!(BenchArgs::parse_from(strs(&["--threads"])).is_err());
         assert!(BenchArgs::parse_from(strs(&["--threads", "0"])).is_err());
         assert!(BenchArgs::parse_from(strs(&["--threads", "x"])).is_err());
+        let over = (nulpa_core::MAX_THREADS + 1).to_string();
+        assert!(BenchArgs::parse_from(strs(&["--threads", &over])).is_err());
     }
 
     #[test]

@@ -148,10 +148,11 @@ pub struct LpaConfig {
     pub device: DeviceConfig,
     /// Cost model for the GPU backend.
     pub cost: CostModel,
-    /// Host threads for the simulator's sharded wave execution. `0` (the
-    /// default) resolves to `NULPA_THREADS` when set, else the machine's
-    /// available parallelism. Results are bit-for-bit identical at every
-    /// setting; see [`resolve_threads`].
+    /// Host threads for the native fast path and the simulator's sharded
+    /// wave execution, at most [`MAX_THREADS`]. `0` (the default)
+    /// resolves to `NULPA_THREADS` when set, else the machine's available
+    /// parallelism. Results are bit-for-bit identical at every setting;
+    /// see [`resolve_threads`].
     pub threads: usize,
 }
 
@@ -174,11 +175,17 @@ impl Default for LpaConfig {
     }
 }
 
+/// The largest host-thread count a run accepts: 256, the hardware
+/// threads of a large two-socket server. Each native thread owns a
+/// |V|-sized scratch pad (8 bytes per vertex) and each iteration spawns
+/// the workers afresh, so the count is bounded before either happens.
+pub const MAX_THREADS: usize = 256;
+
 /// Resolve a requested host-thread count to an effective one: an explicit
 /// `requested > 0` wins; otherwise the `NULPA_THREADS` environment
-/// variable (when set to a positive integer); otherwise the machine's
-/// available parallelism. Thread count never affects results — only host
-/// wall-clock.
+/// variable (when set to an integer in `1..=MAX_THREADS`); otherwise the
+/// machine's available parallelism. Thread count never affects results —
+/// only host wall-clock.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
@@ -190,7 +197,7 @@ pub fn resolve_threads(requested: usize) -> usize {
     };
     if let Ok(env) = std::env::var("NULPA_THREADS") {
         match env.trim().parse::<usize>() {
-            Ok(t) if t > 0 => return t,
+            Ok(t) if (1..=MAX_THREADS).contains(&t) => return t,
             _ => {
                 let fallback = auto();
                 warn_bad_threads_env(&env, fallback);
@@ -208,7 +215,7 @@ fn warn_bad_threads_env(value: &str, fallback: usize) {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         eprintln!(
-            "warning: NULPA_THREADS={value:?} is not a positive integer; \
+            "warning: NULPA_THREADS={value:?} is not an integer in 1..={MAX_THREADS}; \
              falling back to available parallelism ({fallback})"
         );
     });
@@ -235,7 +242,32 @@ impl LpaConfig {
         if self.frontier && !self.pruning {
             return Err("frontier mode requires pruning (the worklist is the pruning rule)".into());
         }
-        self.device.validate()
+        if self.threads > MAX_THREADS {
+            return Err(format!(
+                "threads {} exceeds the maximum of {MAX_THREADS}",
+                self.threads
+            ));
+        }
+        self.device.validate()?;
+        self.thread_kernel_device()
+            .validate()
+            .map_err(|e| format!("shared tables at switch degree {}: {e}", self.switch_degree))
+    }
+
+    /// The device the thread-per-vertex kernel runs on. With
+    /// `shared_tables` (ablation) each thread reserves its worst-case
+    /// table (2 · `switch_degree` slots of key + value) in the SM's shared
+    /// memory, which limits the kernel's occupancy.
+    pub(crate) fn thread_kernel_device(&self) -> DeviceConfig {
+        if !self.shared_tables {
+            return self.device;
+        }
+        let value_bytes = match self.value_type {
+            ValueType::F32 => 4,
+            ValueType::F64 => 8,
+        };
+        self.device
+            .with_shared_mem_per_thread(2 * self.switch_degree as usize * (4 + value_bytes))
     }
 
     /// Builder-style setter for the swap mode.
@@ -383,6 +415,16 @@ mod tests {
     fn resolve_threads_zero_env_falls_back() {
         let auto = with_threads_env(None, || resolve_threads(0));
         with_threads_env(Some("0"), || assert_eq!(resolve_threads(0), auto));
+    }
+
+    #[test]
+    fn resolve_threads_env_above_the_ceiling_falls_back() {
+        // Only resolved, never spawned: the value is rejected up front.
+        let auto = with_threads_env(None, || resolve_threads(0));
+        let over = (MAX_THREADS + 1).to_string();
+        with_threads_env(Some(&over), || assert_eq!(resolve_threads(0), auto));
+        let max = MAX_THREADS.to_string();
+        with_threads_env(Some(&max), || assert_eq!(resolve_threads(0), MAX_THREADS));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   needs to.
 
 use crate::config::LpaConfig;
-use crate::native::lpa_native_from_state;
 use crate::result::LpaResult;
+use crate::run::{lpa_run, Backend, RunCtx, WarmStart};
 use nulpa_graph::{Csr, GraphBuilder, VertexId, Weight};
 
 /// A batch of edge updates to an undirected graph.
@@ -87,7 +87,13 @@ pub fn frontier(batch: &EdgeBatch, prev_labels: &[VertexId]) -> Vec<VertexId> {
 /// Update communities after a batch: apply the batch, seed the frontier,
 /// and run pruned LPA from the previous labels. Returns the new graph and
 /// the LPA result (whose `changed_per_iter` shows how little work the
-/// incremental update needed).
+/// incremental update needed). The run is [`lpa_run`] on
+/// [`Backend::Native`] with a [`WarmStart`].
+///
+/// # Panics
+///
+/// If `prev_labels` is not one label per vertex of `g`, or the warm
+/// start or `config` is invalid.
 pub fn lpa_dynamic(
     g: &Csr,
     prev_labels: &[VertexId],
@@ -97,7 +103,15 @@ pub fn lpa_dynamic(
     assert_eq!(prev_labels.len(), g.num_vertices(), "label length mismatch");
     let g_new = apply_batch(g, batch);
     let seed = frontier(batch, prev_labels);
-    let result = lpa_native_from_state(&g_new, config, prev_labels.to_vec(), &seed);
+    let mut ctx = RunCtx {
+        warm_start: Some(WarmStart {
+            labels: prev_labels,
+            unprocessed: &seed,
+        }),
+        ..RunCtx::default()
+    };
+    let result =
+        lpa_run(Backend::Native, &g_new, config, &mut ctx).unwrap_or_else(|e| panic!("{e}"));
     (g_new, result)
 }
 

@@ -21,6 +21,7 @@
 //! Everything a lane does is metered (global reads/writes, atomics, probe
 //! steps), so the returned [`KernelStats`] carries the simulated cycles,
 //! divergence, and probe counts that the Fig. 1/3/4/5/7 harnesses report.
+//! [`lpa_run`] with [`Backend::Sim`] drives it.
 //!
 //! # Host parallelism
 //!
@@ -38,11 +39,12 @@
 //! is a commutative `fetch_add`.
 
 use crate::addr::AddrMap;
-use crate::config::{resolve_threads, LpaConfig, ValueType};
+use crate::config::{resolve_threads, LpaConfig};
 use crate::disjoint::DisjointBuffer;
 use crate::observe::{IterObserver, NullObserver};
 use crate::partition::partition_candidates;
 use crate::result::LpaResult;
+use crate::run::{lpa_run, Backend, RunCtx};
 use nulpa_graph::{Csr, VertexId};
 use nulpa_hashtab::{HashValue, TableMut, TableSlot, EMPTY_KEY};
 use nulpa_simt::{
@@ -52,36 +54,14 @@ use nulpa_simt::{
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Run ν-LPA on the simulated device configured in `config`.
+///
+/// # Panics
+///
+/// If `config` fails [`LpaConfig::validate`]; [`lpa_run`] returns that
+/// as an `Err` instead.
 pub fn lpa_gpu(g: &Csr, config: &LpaConfig) -> LpaResult {
-    lpa_gpu_traced(g, config, &mut NullSink)
-}
-
-/// [`lpa_gpu`] with structured tracing: per-iteration spans (active-vertex
-/// count, thread/block partition sizes, ΔN, Pick-Less gating), per-kernel
-/// and per-wave spans, and probe/warp-cost histograms, all keyed by
-/// simulated cycles. The sink never influences the computation — the
-/// neutrality test asserts identical labels and stats vs [`NullSink`].
-/// The caller owns `sink.finish()`.
-pub fn lpa_gpu_traced(g: &Csr, config: &LpaConfig, sink: &mut dyn TraceSink) -> LpaResult {
-    lpa_gpu_observed(g, config, sink, &mut NullObserver)
-}
-
-/// [`lpa_gpu_traced`] plus an [`IterObserver`] called after every
-/// committed iteration (post Cross-Check) — the convergence-telemetry
-/// attachment point. The observer runs on the host between simulated
-/// launches and never influences the simulation: labels, stats, and
-/// trace output are bit-identical with and without it.
-pub fn lpa_gpu_observed(
-    g: &Csr,
-    config: &LpaConfig,
-    sink: &mut dyn TraceSink,
-    obs: &mut dyn IterObserver,
-) -> LpaResult {
-    config.validate().expect("invalid LPA config");
-    match config.value_type {
-        ValueType::F32 => lpa_gpu_typed::<f32>(g, config, sink, obs),
-        ValueType::F64 => lpa_gpu_typed::<f64>(g, config, sink, obs),
-    }
+    lpa_run(Backend::Sim, g, config, &mut RunCtx::default())
+        .unwrap_or_else(|e| panic!("invalid LPA config: {e}"))
 }
 
 /// Processed-flag store with lockstep visibility.
@@ -169,30 +149,26 @@ struct GpuState<V: HashValue> {
     changed: AtomicUsize,
 }
 
-fn lpa_gpu_typed<V: HashValue>(
+/// The simulator driver behind [`lpa_run`]; `config` and `ctx` are
+/// validated. Trace events are keyed by simulated cycles: per-iteration
+/// spans (active-vertex count, thread/block partition sizes, ΔN,
+/// Pick-Less gating), per-kernel and per-wave spans, and probe/warp-cost
+/// histograms. Neither the sink nor the observer (called on the host
+/// between simulated launches) influences the simulation.
+pub(crate) fn lpa_gpu_typed<V: HashValue>(
     g: &Csr,
     config: &LpaConfig,
-    sink: &mut dyn TraceSink,
-    obs: &mut dyn IterObserver,
+    ctx: &mut RunCtx,
 ) -> LpaResult {
+    let (mut null_sink, mut null_obs) = (NullSink, NullObserver);
+    let sink: &mut dyn TraceSink = ctx.sink.as_deref_mut().unwrap_or(&mut null_sink);
+    let obs: &mut dyn IterObserver = ctx.observer.as_deref_mut().unwrap_or(&mut null_obs);
     let n = g.num_vertices();
     let m = g.num_edges();
     let threads = resolve_threads(config.threads);
     let sched = WaveScheduler::new(config.device, config.cost).with_threads(threads);
-    // Shared-memory tables (ablation): the thread kernel runs on an
-    // occupancy-limited device — each thread reserves its worst-case table
-    // (2 * switch_degree slots of key + value) in the SM's shared memory.
-    let low_sched = if config.shared_tables {
-        WaveScheduler::new(
-            config.device.with_shared_mem_per_thread(
-                2 * config.switch_degree as usize * (4 + std::mem::size_of::<V>()),
-            ),
-            config.cost,
-        )
-        .with_threads(threads)
-    } else {
-        sched
-    };
+    let low_sched =
+        WaveScheduler::new(config.thread_kernel_device(), config.cost).with_threads(threads);
     let addr = AddrMap::new(n, m);
     let buf_len = TableSlot::buffer_len(m);
 
@@ -846,7 +822,7 @@ fn process_vertex_block<V: HashValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LpaConfig, SwapMode};
+    use crate::config::{LpaConfig, SwapMode, ValueType};
     use crate::seq::lpa_seq;
     use nulpa_graph::gen::{
         caveman_ground_truth, caveman_weighted, complete, erdos_renyi, planted_partition,

@@ -19,8 +19,9 @@
 //!   of the lead's serial per-iteration set-up.
 //!
 //! Everything here is **provably neutral**: nothing is timed or counted
-//! until a run is started through [`crate::lpa_native_hostprof`] (an
-//! unprofiled run claims cursors with a plain `fetch_add`) — the committed
+//! until a run sets [`crate::RunCtx::hostprof`], as
+//! [`crate::lpa_native_hostprof`] does (an unprofiled run claims cursors
+//! with a plain `fetch_add`) — the committed
 //! label trajectory is bit-identical either way, because the commit
 //! keeps a speculative pick only when no neighbour of its vertex moved
 //! since the labels it could have read were committed, and recomputes

@@ -8,6 +8,8 @@
 //! degree-bucketed fast path ([`crate::fastpath`]) that computes and
 //! commits the label moves on `--threads N` host threads, and then runs
 //! the Cross-Check pass, the observers and the convergence test.
+//! [`lpa_run`] with [`Backend::Native`] drives it; it is the only backend
+//! that takes a host profile or a warm start from the [`RunCtx`].
 //!
 //! Differences from the GPU backend, all documented in DESIGN.md:
 //! * The committed trajectory is the fully sequential asynchronous sweep
@@ -18,11 +20,12 @@
 //!   per-vertex hashtables; a weight tie replays the table's slot order,
 //!   so the pick is the one the paper's thread-per-vertex kernel makes.
 
-use crate::config::{LpaConfig, ValueType};
+use crate::config::LpaConfig;
 use crate::fastpath::{FastState, FrontierCtx};
 use crate::hostprof::HostProfData;
 use crate::observe::{IterObserver, NullObserver};
 use crate::result::LpaResult;
+use crate::run::{lpa_run, Backend, RunCtx};
 use nulpa_graph::{Csr, VertexId};
 use nulpa_hashtab::HashValue;
 use nulpa_simt::{track, KernelStats, NullSink, TraceSink};
@@ -30,114 +33,59 @@ use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::time::Instant;
 
 /// Run the native parallel ν-LPA port.
-pub fn lpa_native(g: &Csr, config: &LpaConfig) -> LpaResult {
-    lpa_native_traced(g, config, &mut NullSink)
-}
-
-/// [`lpa_native`] with per-iteration tracing. There is no simulated clock
-/// here — spans are timestamped in elapsed wall-clock **microseconds**
-/// since the call started. The caller owns `sink.finish()`.
-pub fn lpa_native_traced(g: &Csr, config: &LpaConfig, sink: &mut dyn TraceSink) -> LpaResult {
-    lpa_native_observed(g, config, sink, &mut NullObserver)
-}
-
-/// [`lpa_native_traced`] plus an [`IterObserver`] called after every
-/// committed iteration — the convergence-telemetry attachment point.
-pub fn lpa_native_observed(
-    g: &Csr,
-    config: &LpaConfig,
-    sink: &mut dyn TraceSink,
-    obs: &mut dyn IterObserver,
-) -> LpaResult {
-    config.validate().expect("invalid LPA config");
-    let init = (0..g.num_vertices() as VertexId).collect();
-    match config.value_type {
-        ValueType::F32 => lpa_native_typed::<f32>(g, config, init, None, sink, obs, None),
-        ValueType::F64 => lpa_native_typed::<f64>(g, config, init, None, sink, obs, None),
-    }
-}
-
-/// [`lpa_native`] with the host-parallel execution profiler attached:
-/// per-thread compute/commit span timelines, per-bucket work and
-/// cursor-contention counters, and per-iteration repair statistics from
-/// the degree-bucketed fast path (see [`crate::hostprof`]).
 ///
-/// The profiled run is bit-identical to [`lpa_native`] — the recorder
-/// only observes which thread did what, never what was computed. The
-/// profile is always `Some`; the `Option` is kept for callers that
-/// already unwrap it.
-pub fn lpa_native_hostprof(g: &Csr, config: &LpaConfig) -> (LpaResult, Option<HostProfData>) {
-    config.validate().expect("invalid LPA config");
-    let init = (0..g.num_vertices() as VertexId).collect();
-    let mut prof = None;
-    let result = match config.value_type {
-        ValueType::F32 => lpa_native_typed::<f32>(
-            g,
-            config,
-            init,
-            None,
-            &mut NullSink,
-            &mut NullObserver,
-            Some(&mut prof),
-        ),
-        ValueType::F64 => lpa_native_typed::<f64>(
-            g,
-            config,
-            init,
-            None,
-            &mut NullSink,
-            &mut NullObserver,
-            Some(&mut prof),
-        ),
+/// # Panics
+///
+/// If `config` fails [`LpaConfig::validate`]; [`lpa_run`] returns that
+/// as an `Err` instead.
+pub fn lpa_native(g: &Csr, config: &LpaConfig) -> LpaResult {
+    lpa_run(Backend::Native, g, config, &mut RunCtx::default())
+        .unwrap_or_else(|e| panic!("invalid LPA config: {e}"))
+}
+
+/// [`lpa_native`] with per-iteration tracing: [`lpa_run`] with only
+/// [`RunCtx::sink`] set. Panics like [`lpa_native`].
+pub fn lpa_native_traced(g: &Csr, config: &LpaConfig, sink: &mut dyn TraceSink) -> LpaResult {
+    let mut ctx = RunCtx {
+        sink: Some(sink),
+        ..RunCtx::default()
     };
+    lpa_run(Backend::Native, g, config, &mut ctx)
+        .unwrap_or_else(|e| panic!("invalid LPA config: {e}"))
+}
+
+/// [`lpa_native`] with the host profiler attached: [`lpa_run`] with
+/// [`RunCtx::hostprof`] set. The profile is always `Some`. Panics like
+/// [`lpa_native`].
+pub fn lpa_native_hostprof(g: &Csr, config: &LpaConfig) -> (LpaResult, Option<HostProfData>) {
+    let mut prof = None;
+    let mut ctx = RunCtx {
+        hostprof: Some(&mut prof),
+        ..RunCtx::default()
+    };
+    let result = lpa_run(Backend::Native, g, config, &mut ctx)
+        .unwrap_or_else(|e| panic!("invalid LPA config: {e}"));
     (result, prof)
 }
 
-/// Run the native port from existing state: `init_labels` seeds the
-/// community memberships and only `unprocessed` starts in the work set
-/// (everything else is considered converged until a neighbour changes).
-/// This is the engine behind [`crate::dynamic::lpa_dynamic`].
-pub fn lpa_native_from_state(
+/// The native driver behind [`lpa_run`]; `config` and `ctx` are
+/// validated.
+pub(crate) fn lpa_native_typed<V: HashValue>(
     g: &Csr,
     config: &LpaConfig,
-    init_labels: Vec<VertexId>,
-    unprocessed: &[VertexId],
+    ctx: &mut RunCtx,
 ) -> LpaResult {
-    config.validate().expect("invalid LPA config");
-    assert_eq!(init_labels.len(), g.num_vertices(), "label length mismatch");
-    match config.value_type {
-        ValueType::F32 => lpa_native_typed::<f32>(
-            g,
-            config,
-            init_labels,
-            Some(unprocessed),
-            &mut NullSink,
-            &mut NullObserver,
-            None,
-        ),
-        ValueType::F64 => lpa_native_typed::<f64>(
-            g,
-            config,
-            init_labels,
-            Some(unprocessed),
-            &mut NullSink,
-            &mut NullObserver,
-            None,
-        ),
-    }
-}
-
-fn lpa_native_typed<V: HashValue>(
-    g: &Csr,
-    config: &LpaConfig,
-    init_labels: Vec<VertexId>,
-    unprocessed: Option<&[VertexId]>,
-    sink: &mut dyn TraceSink,
-    obs: &mut dyn IterObserver,
-    hostprof: Option<&mut Option<HostProfData>>,
-) -> LpaResult {
+    let (mut null_sink, mut null_obs) = (NullSink, NullObserver);
+    let sink: &mut dyn TraceSink = ctx.sink.as_deref_mut().unwrap_or(&mut null_sink);
+    let obs: &mut dyn IterObserver = ctx.observer.as_deref_mut().unwrap_or(&mut null_obs);
     let n = g.num_vertices();
-    let labels: Vec<AtomicU32> = init_labels.into_iter().map(AtomicU32::new).collect();
+    let (labels, unprocessed): (Vec<AtomicU32>, _) = match ctx.warm_start {
+        Some(w) => (
+            w.labels.iter().map(|&l| AtomicU32::new(l)).collect(),
+            Some(w.unprocessed),
+        ),
+        None => ((0..n as VertexId).map(AtomicU32::new).collect(), None),
+    };
     let processed: Vec<AtomicU8> = match unprocessed {
         // static run: every vertex starts unprocessed
         None => (0..n).map(|_| AtomicU8::new(0)).collect(),
@@ -155,7 +103,7 @@ fn lpa_native_typed<V: HashValue>(
         crate::config::resolve_threads(config.threads),
         nulpa_graph::blocks::DEFAULT_BLOCK_EDGES,
         config.probe,
-        hostprof.is_some(),
+        ctx.hostprof.is_some(),
     );
 
     // Frontier (worklist) state. Activation is deduplicated with the
@@ -339,7 +287,7 @@ fn lpa_native_typed<V: HashValue>(
         }
     }
 
-    if let Some(out) = hostprof {
+    if let Some(out) = ctx.hostprof.as_deref_mut() {
         *out = fast.take_profile();
     }
     LpaResult {
@@ -356,7 +304,7 @@ fn lpa_native_typed<V: HashValue>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LpaConfig, SwapMode};
+    use crate::config::{LpaConfig, SwapMode, ValueType};
     use crate::gpu::lpa_gpu;
     use crate::seq::lpa_seq;
     use nulpa_graph::gen::{
@@ -543,7 +491,14 @@ mod tests {
         // run must report converged without recording a single iteration.
         let g = two_cliques_light_bridge(6);
         let settled = lpa_native(&g, &cfg());
-        let r = lpa_native_from_state(&g, &cfg().with_frontier(true), settled.labels.clone(), &[]);
+        let mut ctx = RunCtx {
+            warm_start: Some(crate::run::WarmStart {
+                labels: &settled.labels,
+                unprocessed: &[],
+            }),
+            ..RunCtx::default()
+        };
+        let r = lpa_run(Backend::Native, &g, &cfg().with_frontier(true), &mut ctx).unwrap();
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
         assert!(r.changed_per_iter.is_empty());

@@ -1,17 +1,17 @@
 //! Per-iteration observation hooks for host-side telemetry.
 //!
-//! The three LPA backends ([`crate::lpa_seq`], [`crate::lpa_native`],
-//! [`crate::lpa_gpu`]) expose `_observed` entry points that call an
-//! [`IterObserver`] once per completed iteration with the post-iteration
-//! label array. This is the attachment point for convergence telemetry
-//! (ΔN trajectories, active-vertex fraction, incremental modularity —
-//! see the `nulpa-telemetry` crate) without entangling the algorithm
-//! crates with the metrics layer.
+//! Every backend run through [`crate::lpa_run`] calls the
+//! [`crate::RunCtx::observer`] (an [`IterObserver`]) once per completed
+//! iteration with the post-iteration label array. This is the attachment
+//! point for convergence telemetry (ΔN trajectories, active-vertex
+//! fraction, incremental modularity — see the `nulpa-telemetry` crate)
+//! without entangling the algorithm crates with the metrics layer.
 //!
 //! Observation is strictly read-only and gated: when
-//! [`IterObserver::is_enabled`] returns `false` (the [`NullObserver`]
-//! default), the backends skip the label snapshot entirely, so an
-//! unobserved run pays one virtual call per iteration and nothing else.
+//! [`IterObserver::is_enabled`] returns `false` (the [`NullObserver`],
+//! which stands in when no observer is attached), the backends skip the
+//! label snapshot entirely, so an unobserved run pays one virtual call
+//! per iteration and nothing else.
 //! The neutrality tests assert byte-identical labels, stats, and trace
 //! output with and without an observer attached.
 

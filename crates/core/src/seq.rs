@@ -5,7 +5,8 @@
 //! follows the same high-level schedule as ν-LPA (asynchronous in-place
 //! updates in vertex-id order, vertex pruning, per-iteration tolerance,
 //! optional Pick-Less/Cross-Check) but accumulates label weights in a
-//! `BTreeMap` — no hashtables, no waves.
+//! `BTreeMap` — no hashtables, no waves. [`lpa_run`] with
+//! [`Backend::Seq`] drives it.
 //!
 //! Tie-breaking: highest total weight; among equal weights, the label with
 //! the smallest *scrambled* id wins. A smallest-raw-label rule would be
@@ -17,6 +18,7 @@
 use crate::config::LpaConfig;
 use crate::observe::{IterObserver, NullObserver};
 use crate::result::LpaResult;
+use crate::run::{lpa_run, Backend, RunCtx};
 use nulpa_graph::{Csr, VertexId};
 use nulpa_simt::{track, KernelStats, NullSink, TraceSink};
 use std::collections::BTreeMap;
@@ -47,26 +49,23 @@ pub(crate) fn shuffle_candidates(candidates: &mut [VertexId], iter: u32) {
 }
 
 /// Run the sequential reference LPA.
+///
+/// # Panics
+///
+/// If `config` fails [`LpaConfig::validate`]; [`lpa_run`] returns that
+/// as an `Err` instead.
 pub fn lpa_seq(g: &Csr, config: &LpaConfig) -> LpaResult {
-    lpa_seq_traced(g, config, &mut NullSink)
+    lpa_run(Backend::Seq, g, config, &mut RunCtx::default())
+        .unwrap_or_else(|e| panic!("invalid LPA config: {e}"))
 }
 
-/// [`lpa_seq`] with per-iteration tracing, timestamped in elapsed
-/// wall-clock microseconds (the reference backend has no simulated
-/// clock). The caller owns `sink.finish()`.
-pub fn lpa_seq_traced(g: &Csr, config: &LpaConfig, sink: &mut dyn TraceSink) -> LpaResult {
-    lpa_seq_observed(g, config, sink, &mut NullObserver)
-}
-
-/// [`lpa_seq_traced`] plus an [`IterObserver`] called after every
-/// committed iteration — the convergence-telemetry attachment point.
-pub fn lpa_seq_observed(
-    g: &Csr,
-    config: &LpaConfig,
-    sink: &mut dyn TraceSink,
-    obs: &mut dyn IterObserver,
-) -> LpaResult {
-    config.validate().expect("invalid LPA config");
+/// The reference driver behind [`lpa_run`]; `config` and `ctx` are
+/// validated. Trace events are timestamped in elapsed wall-clock
+/// microseconds (the reference backend has no simulated clock).
+pub(crate) fn lpa_seq_run(g: &Csr, config: &LpaConfig, ctx: &mut RunCtx) -> LpaResult {
+    let (mut null_sink, mut null_obs) = (NullSink, NullObserver);
+    let sink: &mut dyn TraceSink = ctx.sink.as_deref_mut().unwrap_or(&mut null_sink);
+    let obs: &mut dyn IterObserver = ctx.observer.as_deref_mut().unwrap_or(&mut null_obs);
     let n = g.num_vertices();
     let t0 = Instant::now();
     let mut labels: Vec<VertexId> = (0..n as VertexId).collect();

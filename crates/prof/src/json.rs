@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn profile_json_parses_back() {
         let g = two_cliques_light_bridge(4);
-        let gp = profile_graph("tc", &g, &backends()[0]);
+        let gp = profile_graph("tc", &g, &backends()[0]).unwrap();
         let text = profile_to_json(&gp.profile);
         let doc = nulpa_obs::json::parse(&text).expect("valid JSON");
         assert_eq!(doc.get("graph").and_then(|v| v.as_str()), Some("tc"));
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn report_json_parses_back() {
         let g = two_cliques_light_bridge(4);
-        let gp = profile_graph("tc", &g, &backends()[0]);
+        let gp = profile_graph("tc", &g, &backends()[0]).unwrap();
         let meta = vec![("git_rev".to_string(), "abc123".to_string())];
         let text = report_to_json(&meta, &[gp]);
         let doc = nulpa_obs::json::parse(&text).expect("valid JSON");

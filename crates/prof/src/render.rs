@@ -184,7 +184,7 @@ mod tests {
     fn render_covers_all_sections() {
         let g = two_cliques_light_bridge(5);
         let spec = &backends()[1]; // tiny: multiple waves
-        let gp = profile_graph("two-cliques", &g, spec);
+        let gp = profile_graph("two-cliques", &g, spec).unwrap();
         let text = render(&gp.profile);
         for needle in [
             "cycle attribution",

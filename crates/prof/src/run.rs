@@ -4,13 +4,13 @@
 
 use crate::collect::ProfileSink;
 use crate::profile::Profile;
-use nulpa_core::{lpa_gpu_traced, LpaConfig, ValueType};
+use nulpa_core::{lpa_run, Backend, LpaConfig, RunCtx, ValueType};
 use nulpa_graph::Csr;
 use nulpa_simt::DeviceConfig;
 
 /// One profiling configuration: a label plus the LPA config it runs.
 ///
-/// All backends drive the simulated-GPU path (`lpa_gpu_traced`) — the
+/// All backends drive the simulated-GPU path ([`Backend::Sim`]) — the
 /// native and sequential backends do not meter cycles, so there is
 /// nothing to attribute there.
 #[derive(Clone, Debug)]
@@ -72,10 +72,18 @@ pub struct GraphProfile {
 
 /// Run one `(graph, backend)` profile: execute the simulated backend with
 /// a collecting sink, aggregate, and verify conservation against the
-/// run's untagged `KernelStats`.
-pub fn profile_graph(graph_name: &str, g: &Csr, spec: &BackendSpec) -> GraphProfile {
+/// run's untagged `KernelStats`. An invalid `spec.config` is an `Err`.
+pub fn profile_graph(
+    graph_name: &str,
+    g: &Csr,
+    spec: &BackendSpec,
+) -> Result<GraphProfile, String> {
     let mut sink = ProfileSink::new();
-    let result = lpa_gpu_traced(g, &spec.config, &mut sink);
+    let mut ctx = RunCtx {
+        sink: Some(&mut sink),
+        ..RunCtx::default()
+    };
+    let result = lpa_run(Backend::Sim, g, &spec.config, &mut ctx)?;
     let profile = Profile::build(
         graph_name,
         spec.name,
@@ -88,11 +96,11 @@ pub fn profile_graph(graph_name: &str, g: &Csr, spec: &BackendSpec) -> GraphProf
     let mut labels: Vec<u32> = result.labels.clone();
     labels.sort_unstable();
     labels.dedup();
-    GraphProfile {
+    Ok(GraphProfile {
         profile,
         communities: labels.len(),
         conservation,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -104,7 +112,7 @@ mod tests {
     fn profile_run_conserves_cycles() {
         let g = two_cliques_light_bridge(5);
         for spec in backends() {
-            let gp = profile_graph("two-cliques", &g, &spec);
+            let gp = profile_graph("two-cliques", &g, &spec).unwrap();
             gp.conservation
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name));

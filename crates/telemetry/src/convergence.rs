@@ -1,7 +1,7 @@
 //! Per-iteration convergence telemetry for the LPA backends.
 //!
 //! [`ConvergenceRecorder`] implements [`nulpa_core::IterObserver`] and is
-//! attached through the backends' `_observed` entry points. After every
+//! attached as `RunCtx::observer` to `nulpa_core::lpa_run`. After every
 //! committed iteration it records an [`IterationSample`]: ΔN, the
 //! active-vertex fraction (Traag & Šubelj's key frontier-scheduling
 //! signal — the fraction of vertices still being processed), the
@@ -201,11 +201,10 @@ impl IterObserver for ConvergenceRecorder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nulpa_core::{lpa_seq_observed, LpaConfig};
+    use nulpa_core::{lpa_run, Backend, LpaConfig, RunCtx};
     use nulpa_graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
     use nulpa_graph::GraphBuilder;
     use nulpa_metrics::{community_count, modularity};
-    use nulpa_obs::NullSink as ObsNullSink;
 
     /// Independent check: apply the recorder to hand-rolled label
     /// sequences and compare against from-scratch recomputation.
@@ -242,7 +241,11 @@ mod tests {
             erdos_renyi(200, 600, 42),
         ] {
             let mut rec = ConvergenceRecorder::new(&g);
-            let r = lpa_seq_observed(&g, &LpaConfig::default(), &mut ObsNullSink, &mut rec);
+            let mut ctx = RunCtx {
+                observer: Some(&mut rec),
+                ..RunCtx::default()
+            };
+            let r = lpa_run(Backend::Seq, &g, &LpaConfig::default(), &mut ctx).unwrap();
             assert_eq!(rec.samples.len(), r.iterations as usize);
             // ΔN trajectory matches the backend's own record
             let dn: Vec<usize> = rec.samples.iter().map(|s| s.delta_n).collect();
@@ -265,7 +268,11 @@ mod tests {
     fn entropy_bounds_and_monotonicity_of_fractions() {
         let g = caveman_weighted(6, 8, 0.5);
         let mut rec = ConvergenceRecorder::new(&g);
-        lpa_seq_observed(&g, &LpaConfig::default(), &mut ObsNullSink, &mut rec);
+        let mut ctx = RunCtx {
+            observer: Some(&mut rec),
+            ..RunCtx::default()
+        };
+        lpa_run(Backend::Seq, &g, &LpaConfig::default(), &mut ctx).unwrap();
         let n = g.num_vertices() as f64;
         for s in &rec.samples {
             assert!(s.entropy_bits >= 0.0 && s.entropy_bits <= n.log2() + 1e-9);

@@ -22,8 +22,7 @@
 //!   metrics [`Registry`] so Prometheus/JSONL snapshots carry them.
 //!
 //! Everything here consumes plain data; the *recorder* lives in
-//! `nulpa-core` and records only runs started through
-//! `lpa_native_hostprof`.
+//! `nulpa-core` and records only runs that set `RunCtx::hostprof`.
 
 use crate::registry::{global, Registry};
 use nulpa_core::{BucketCounters, HostProfData, IterRepairStats, SpanKind, BUCKET_NAMES};

@@ -49,6 +49,15 @@ NULPA_THREADS=2 cargo test -q --workspace
 step "workspace tests (NULPA_THREADS=4)"
 NULPA_THREADS=4 cargo test -q --workspace
 
+# The examples call the library the way a user would; clippy only
+# compiles them, so run each one (about 7 s in total on 2 threads; none
+# writes a file).
+step "examples (cargo run --release --example)"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    cargo run --release -q --example "$name" > /dev/null
+done
+
 step "rustfmt"
 cargo fmt --all --check
 

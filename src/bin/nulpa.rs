@@ -22,8 +22,8 @@ use nu_lpa::baselines::{
     LeidenConfig, LouvainConfig, PlpConfig,
 };
 use nu_lpa::core::{
-    coarsen_lpa, lpa_gpu_traced, lpa_native, lpa_native_traced, pulp_partition, top_k_predictions,
-    CoarsenConfig, LpaConfig, PulpConfig,
+    coarsen_lpa, lpa_native, lpa_run, pulp_partition, top_k_predictions, Backend, CoarsenConfig,
+    LpaConfig, PulpConfig, RunCtx,
 };
 use nu_lpa::graph::datasets::spec_by_name;
 use nu_lpa::graph::io::{
@@ -33,7 +33,7 @@ use nu_lpa::graph::stats::average_clustering;
 use nu_lpa::graph::subgraph::community_subgraph;
 use nu_lpa::graph::Csr;
 use nu_lpa::metrics::{community_count, cut_fraction, imbalance, modularity};
-use nu_lpa::obs::{summary, ChromeTraceSink, Hist, JsonlSink, NullSink, TraceSink, Value};
+use nu_lpa::obs::{summary, ChromeTraceSink, Hist, JsonlSink, TraceSink, Value};
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -430,11 +430,9 @@ struct ObservedRun {
 }
 
 fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, String> {
-    use nu_lpa::core::{lpa_gpu_observed, lpa_native_observed, lpa_seq_observed};
     use nu_lpa::telemetry::ConvergenceRecorder;
 
     let mut rec = ConvergenceRecorder::new(g);
-    let mut sink = NullSink;
     // `<backend>-frontier` rows run the same backend in worklist mode, so
     // the quality gate also pins the frontier scheduler's modularity and
     // the ledger records its collapsing `scanned` trajectory.
@@ -442,12 +440,17 @@ fn run_observed(backend: &str, g: &Csr, cfg: &LpaConfig) -> Result<ObservedRun, 
         Some(base) => (base, cfg.with_frontier(true)),
         None => (backend, *cfg),
     };
-    let result = match backend {
-        "seq" => lpa_seq_observed(g, &cfg, &mut sink, &mut rec),
-        "nu-lpa" => lpa_native_observed(g, &cfg, &mut sink, &mut rec),
-        "nu-lpa-sim" => lpa_gpu_observed(g, &cfg, &mut sink, &mut rec),
+    let backend = match backend {
+        "seq" => Backend::Seq,
+        "nu-lpa" => Backend::Native,
+        "nu-lpa-sim" => Backend::Sim,
         other => return Err(format!("stats: unknown backend `{other}`")),
     };
+    let mut ctx = RunCtx {
+        observer: Some(&mut rec),
+        ..RunCtx::default()
+    };
+    let result = lpa_run(backend, g, &cfg, &mut ctx)?;
     let final_q = rec.final_modularity();
     Ok(ObservedRun {
         result,
@@ -741,19 +744,18 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         span.finish();
     }
     let mut file_sink = trace_path.map(FileSink::create).transpose()?;
-    let mut null = NullSink;
 
     let iterate_span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("iterate"));
     let t0 = Instant::now();
     let labels: Vec<u32> = {
-        let sink: &mut dyn TraceSink = match file_sink.as_mut() {
-            Some(s) => s,
-            None => &mut null,
+        let mut ctx = RunCtx {
+            sink: file_sink.as_mut().map(|s| s as &mut dyn TraceSink),
+            ..RunCtx::default()
         };
         match method {
-            "nu-lpa" => lpa_native_traced(&g, &cfg, sink).labels,
+            "nu-lpa" => lpa_run(Backend::Native, &g, &cfg, &mut ctx)?.labels,
             "nu-lpa-sim" => {
-                let r = lpa_gpu_traced(&g, &cfg, sink);
+                let r = lpa_run(Backend::Sim, &g, &cfg, &mut ctx)?;
                 eprintln!(
                     "simulated: {} cycles, {} waves, {:.1}% divergence, {} probes",
                     r.stats.sim_cycles,
@@ -1026,7 +1028,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// Chrome/Perfetto trace of the last run's thread timelines;
 /// `--write-baseline`/`--check` drive the hostprof regression gate.
 fn cmd_profile_host(args: &[String]) -> Result<(), String> {
-    use nu_lpa::core::lpa_native_hostprof;
     use nu_lpa::obs::meta::{meta_json, run_meta};
     use nu_lpa::telemetry::hostprof as hp;
 
@@ -1041,7 +1042,12 @@ fn cmd_profile_host(args: &[String]) -> Result<(), String> {
     for (gname, g) in &graphs {
         for &threads in THREAD_LADDER {
             let cfg = LpaConfig::default().with_threads(threads);
-            let (_result, prof) = lpa_native_hostprof(g, &cfg);
+            let mut prof = None;
+            let mut ctx = RunCtx {
+                hostprof: Some(&mut prof),
+                ..RunCtx::default()
+            };
+            lpa_run(Backend::Native, g, &cfg, &mut ctx)?;
             let data = prof.ok_or("profile --host: the run returned no profile")?;
             let report = hp::summarize(gname, &data);
             hp::record_registry(&report);
@@ -1127,7 +1133,7 @@ fn cmd_profile_sim(args: &[String]) -> Result<(), String> {
     for (gname, g) in &graphs {
         for spec in &specs {
             let span = telemetry_path.map(|_| nu_lpa::telemetry::PhaseSpan::new("iterate"));
-            let gp = profile_graph(gname, g, spec);
+            let gp = profile_graph(gname, g, spec)?;
             if let Some(span) = span {
                 span.finish();
             }

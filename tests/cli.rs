@@ -75,6 +75,8 @@ fn detect_help_and_flag_in_place_of_path() {
     let path = tmp("detect-args.txt");
     std::fs::write(&path, two_cliques_edge_list()).unwrap();
     let p = path.to_str().unwrap();
+    let over_ceiling = (nu_lpa::core::MAX_THREADS + 1).to_string();
+    let ceiling = nu_lpa::core::MAX_THREADS.to_string();
     for args in [
         vec!["detect", "--help"],
         vec!["detect", "-h"],
@@ -100,6 +102,10 @@ fn detect_help_and_flag_in_place_of_path() {
             "`bogus`",
         ),
         (vec!["detect", "missing.txt", "--threads", "0"], "--threads"),
+        (
+            vec!["detect", "missing.txt", "--threads", &over_ceiling],
+            &ceiling,
+        ),
         (
             vec!["detect", "missing.txt", "--method", "flpa", "--frontier"],
             "--frontier",

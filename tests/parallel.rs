@@ -8,7 +8,7 @@
 //! strategy × swap mode × device × value datatype) and compare runs at
 //! 1 and 4 host threads.
 
-use nu_lpa::core::{lpa_gpu, lpa_gpu_traced, LpaConfig, SwapMode, ValueType};
+use nu_lpa::core::{lpa_gpu, lpa_run, Backend, LpaConfig, RunCtx, SwapMode, ValueType};
 use nu_lpa::graph::gen::erdos_renyi;
 use nu_lpa::hashtab::ProbeStrategy;
 use nu_lpa::obs::RecordingSink;
@@ -159,8 +159,26 @@ fn trace_streams_are_identical_across_thread_counts() {
     let cfg = LpaConfig::default().with_device(DeviceConfig::tiny());
     let mut serial = RecordingSink::new();
     let mut parallel = RecordingSink::new();
-    let a = lpa_gpu_traced(&g, &cfg.with_threads(1), &mut serial);
-    let b = lpa_gpu_traced(&g, &cfg.with_threads(4), &mut parallel);
+    let a = lpa_run(
+        Backend::Sim,
+        &g,
+        &cfg.with_threads(1),
+        &mut RunCtx {
+            sink: Some(&mut serial),
+            ..RunCtx::default()
+        },
+    )
+    .unwrap();
+    let b = lpa_run(
+        Backend::Sim,
+        &g,
+        &cfg.with_threads(4),
+        &mut RunCtx {
+            sink: Some(&mut parallel),
+            ..RunCtx::default()
+        },
+    )
+    .unwrap();
     assert_eq!(a.labels, b.labels);
     assert!(!serial.events.is_empty(), "trace should record events");
     assert_eq!(serial.events, parallel.events);

@@ -7,7 +7,7 @@
 //! This is the tentpole invariant of the attribution layer: every charge
 //! site tags exactly one component for exactly the cycles it charges.
 
-use nu_lpa::core::{lpa_gpu_traced, LpaConfig, SwapMode};
+use nu_lpa::core::{lpa_run, Backend, LpaConfig, RunCtx, SwapMode};
 use nu_lpa::graph::gen::{caveman_weighted, two_cliques_light_bridge};
 use nu_lpa::hashtab::ProbeStrategy;
 use nu_lpa::prof::{Profile, ProfileSink};
@@ -17,7 +17,16 @@ use nu_lpa::simt::DeviceConfig;
 fn check(cfg: &LpaConfig, label: &str) {
     let g = caveman_weighted(3, 9, 0.4);
     let mut sink = ProfileSink::new();
-    let result = lpa_gpu_traced(&g, cfg, &mut sink);
+    let result = lpa_run(
+        Backend::Sim,
+        &g,
+        cfg,
+        &mut RunCtx {
+            sink: Some(&mut sink),
+            ..RunCtx::default()
+        },
+    )
+    .unwrap();
     let profile = Profile::build(
         "caveman-3x9",
         label,
@@ -94,7 +103,16 @@ fn attribution_is_thread_count_invariant() {
             .with_device(DeviceConfig::tiny())
             .with_threads(threads);
         let mut sink = ProfileSink::new();
-        let result = lpa_gpu_traced(&g, &cfg, &mut sink);
+        let result = lpa_run(
+            Backend::Sim,
+            &g,
+            &cfg,
+            &mut RunCtx {
+                sink: Some(&mut sink),
+                ..RunCtx::default()
+            },
+        )
+        .unwrap();
         let p = Profile::build(
             "two-cliques",
             "tiny",

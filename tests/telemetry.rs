@@ -1,8 +1,8 @@
 //! Telemetry neutrality and cross-backend convergence agreement.
 //!
 //! The telemetry layer must be a pure observer: attaching a
-//! [`ConvergenceRecorder`] (or no observer at all, via the `_observed`
-//! entry points with a [`NullObserver`]) must not change a single label,
+//! [`ConvergenceRecorder`] (or no observer at all, via `lpa_run` with a
+//! [`NullObserver`]) must not change a single label,
 //! iteration count, or ΔN of any backend. And the convergence telemetry
 //! itself must agree across backends where the algorithm does: all three
 //! land on the same final modularity on the community-structured
@@ -11,13 +11,11 @@
 //! buffers label visibility per wave).
 
 use nu_lpa::core::{
-    lpa_gpu, lpa_gpu_observed, lpa_native, lpa_native_observed, lpa_seq, lpa_seq_observed,
-    LpaConfig, LpaResult, NullObserver,
+    lpa_gpu, lpa_native, lpa_run, lpa_seq, Backend, LpaConfig, LpaResult, NullObserver, RunCtx,
 };
 use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
 use nu_lpa::graph::Csr;
 use nu_lpa::metrics::{community_count, modularity};
-use nu_lpa::obs::NullSink;
 use nu_lpa::telemetry::ConvergenceRecorder;
 
 fn trio() -> Vec<(String, Csr)> {
@@ -29,14 +27,17 @@ fn trio() -> Vec<(String, Csr)> {
 }
 
 fn run_observed(backend: &str, g: &Csr, obs: &mut dyn nu_lpa::core::IterObserver) -> LpaResult {
-    let cfg = LpaConfig::default();
-    let mut sink = NullSink;
-    match backend {
-        "seq" => lpa_seq_observed(g, &cfg, &mut sink, obs),
-        "native" => lpa_native_observed(g, &cfg, &mut sink, obs),
-        "gpu" => lpa_gpu_observed(g, &cfg, &mut sink, obs),
+    let backend = match backend {
+        "seq" => Backend::Seq,
+        "native" => Backend::Native,
+        "gpu" => Backend::Sim,
         _ => unreachable!(),
-    }
+    };
+    let mut ctx = RunCtx {
+        observer: Some(obs),
+        ..RunCtx::default()
+    };
+    lpa_run(backend, g, &LpaConfig::default(), &mut ctx).unwrap()
 }
 
 fn run_plain(backend: &str, g: &Csr) -> LpaResult {
@@ -171,7 +172,11 @@ fn null_observer_overhead_is_bounded() {
         std::hint::black_box(lpa_seq(&g, &cfg));
     }));
     let nulled = median(Box::new(|| {
-        std::hint::black_box(lpa_seq_observed(&g, &cfg, &mut NullSink, &mut NullObserver));
+        let mut ctx = RunCtx {
+            observer: Some(&mut NullObserver),
+            ..RunCtx::default()
+        };
+        std::hint::black_box(lpa_run(Backend::Seq, &g, &cfg, &mut ctx).unwrap());
     }));
     assert!(
         nulled <= plain * 3 + std::time::Duration::from_millis(5),

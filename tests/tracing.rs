@@ -4,7 +4,7 @@
 //! (regenerate with `UPDATE_GOLDEN=1 cargo test --test tracing`).
 
 use nu_lpa::core::{
-    lpa_gpu, lpa_gpu_traced, lpa_native, lpa_native_traced, lpa_seq, lpa_seq_traced, LpaConfig,
+    lpa_gpu, lpa_native, lpa_native_traced, lpa_run, lpa_seq, Backend, LpaConfig, RunCtx,
 };
 use nu_lpa::graph::gen::{caveman_weighted, erdos_renyi, two_cliques_light_bridge};
 use nu_lpa::obs::{json, summarize, ChromeTraceSink, JsonlSink, RecordingSink, TraceSink};
@@ -21,7 +21,16 @@ fn recording_sink_is_neutral_for_gpu_backend() {
     for (i, g) in graphs.iter().enumerate() {
         let base = lpa_gpu(g, &LpaConfig::default());
         let mut sink = RecordingSink::new();
-        let traced = lpa_gpu_traced(g, &LpaConfig::default(), &mut sink);
+        let traced = lpa_run(
+            Backend::Sim,
+            g,
+            &LpaConfig::default(),
+            &mut RunCtx {
+                sink: Some(&mut sink),
+                ..RunCtx::default()
+            },
+        )
+        .unwrap();
         assert_eq!(base.labels, traced.labels, "labels diverged on graph {i}");
         assert_eq!(base.stats, traced.stats, "stats diverged on graph {i}");
         assert_eq!(base.iterations, traced.iterations);
@@ -47,7 +56,16 @@ fn recording_sink_is_neutral_for_native_and_seq() {
 
     let base = lpa_seq(&g, &cfg);
     let mut sink = RecordingSink::new();
-    let traced = lpa_seq_traced(&g, &cfg, &mut sink);
+    let traced = lpa_run(
+        Backend::Seq,
+        &g,
+        &cfg,
+        &mut RunCtx {
+            sink: Some(&mut sink),
+            ..RunCtx::default()
+        },
+    )
+    .unwrap();
     assert_eq!(base.labels, traced.labels);
     assert_eq!(base.iterations, traced.iterations);
     assert!(sink.span_counts().0 > 0);
@@ -57,7 +75,16 @@ fn recording_sink_is_neutral_for_native_and_seq() {
 fn gpu_trace_contains_expected_span_kinds() {
     let g = caveman_weighted(3, 6, 0.5);
     let mut sink = RecordingSink::new();
-    lpa_gpu_traced(&g, &LpaConfig::default(), &mut sink);
+    lpa_run(
+        Backend::Sim,
+        &g,
+        &LpaConfig::default(),
+        &mut RunCtx {
+            sink: Some(&mut sink),
+            ..RunCtx::default()
+        },
+    )
+    .unwrap();
     let names = sink.begin_names();
     for expected in ["lpa_gpu", "iteration", "wave"] {
         assert!(names.contains(&expected), "missing {expected} span");
@@ -71,7 +98,16 @@ fn gpu_trace_contains_expected_span_kinds() {
 fn chrome_trace_of_tiny_graph() -> String {
     let g = two_cliques_light_bridge(3);
     let mut sink = ChromeTraceSink::new(Vec::new());
-    lpa_gpu_traced(&g, &LpaConfig::default(), &mut sink);
+    lpa_run(
+        Backend::Sim,
+        &g,
+        &LpaConfig::default(),
+        &mut RunCtx {
+            sink: Some(&mut sink),
+            ..RunCtx::default()
+        },
+    )
+    .unwrap();
     sink.finish();
     assert!(sink.take_error().is_none());
     String::from_utf8(sink.into_inner().unwrap()).unwrap()
@@ -126,7 +162,16 @@ fn jsonl_and_chrome_summaries_agree_on_real_run() {
     let cfg = LpaConfig::default();
 
     let mut jsonl = JsonlSink::new(Vec::new());
-    lpa_gpu_traced(&g, &cfg, &mut jsonl);
+    lpa_run(
+        Backend::Sim,
+        &g,
+        &cfg,
+        &mut RunCtx {
+            sink: Some(&mut jsonl),
+            ..RunCtx::default()
+        },
+    )
+    .unwrap();
     jsonl.finish();
     let jsonl_text = String::from_utf8(jsonl.into_inner().unwrap()).unwrap();
 
